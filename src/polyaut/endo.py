@@ -17,7 +17,7 @@ from .poly import NEG_INF, Poly, Rational
 class Endo:
     """A polynomial endomorphism G = (G_1, ..., G_n) of k^n."""
 
-    __slots__ = ("n", "coords")
+    __slots__ = ("n", "coords", "_orbit")
 
     def __init__(self, coords: Sequence[Poly]):
         coords = tuple(coords)
@@ -31,6 +31,7 @@ class Endo:
             )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "_orbit", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Endo is immutable")
@@ -84,6 +85,21 @@ class Endo:
         for _ in range(m):
             result = self.compose(result)
         return result
+
+    def orbit(self, k: int) -> tuple:
+        """The iterates (identity, self, ..., self^{ok}).
+
+        Each iterate is composed once per map object and kept on it, so
+        the callers that need the same iterates (certification, vanishing,
+        minimality, inversion) share them; they are freed with the map.
+        """
+        orbit = self._orbit
+        if orbit is None:
+            orbit = [Endo.identity(self.n)]
+            object.__setattr__(self, "_orbit", orbit)
+        while len(orbit) <= k:
+            orbit.append(self.compose(orbit[-1]))
+        return tuple(orbit[:k + 1])
 
     def degree(self):
         """max_i deg G_i; NEG_INF for the zero map."""

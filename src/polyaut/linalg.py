@@ -1,14 +1,16 @@
 """Exact linear algebra over the rationals.
 
 Small dense routines for matrices given as lists of Fraction rows, plus an
-incremental sparse dependence finder used by the minimal-polynomial search.
-No floating point anywhere; every pivot decision is a deterministic
-"first nonzero entry" choice.
+incremental sparse dependence finder used by the minimal-polynomial search,
+its counterpart over GF(p), and rational reconstruction to lift residues
+back to Q.  No floating point anywhere; every pivot decision is a
+deterministic "first nonzero entry" choice.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, isqrt
 
 
 def mat_det(rows) -> Fraction:
@@ -122,3 +124,90 @@ def _sub_scaled(target: dict, source: dict, factor: Fraction):
             target[k] = s
         else:
             target.pop(k, None)
+
+
+class UnluckyPrime(ArithmeticError):
+    """A vector entry has a denominator divisible by the prime, so the
+    vector has no image over GF(p)."""
+
+
+class ModularDependenceFinder(DependenceFinder):
+    """DependenceFinder over GF(p) for one prime p.
+
+    Same contract as the rational finder: `add` returns None while the
+    vectors stay independent, then the first dependence as
+    {vector_index: residue} with residue 1 on the newest vector.  Entries
+    are reduced mod p on the way in; one whose denominator p divides raises
+    UnluckyPrime.
+
+    The rank over GF(p) is at most the rank over Q (clear the denominators
+    of a rational dependence and reduce it mod p), so the first dependence
+    found here comes no later than the rational one.  Whether it is the
+    same one only an exact check can tell.
+
+    The basis rows are kept in insertion order, each reduced against the
+    rows before it only; reducing a new vector in that order clears every
+    pivot, so the back-substitution of the rational finder is not needed.
+    """
+
+    def __init__(self, p: int):
+        super().__init__()
+        self.p = p
+
+    def add(self, vec):
+        p = self.p
+        work = {}
+        for k, v in vec.items():
+            num, den = v.numerator, v.denominator
+            if den != 1:
+                if den % p == 0:
+                    raise UnluckyPrime(f"denominator {den} vanishes mod {p}")
+                num *= pow(den, -1, p)
+            r = num % p
+            if r:
+                work[k] = r
+        combo = {self._count: 1}
+        self._count += 1
+        for pivot, row, rcombo in self._rows:
+            f = work.get(pivot)
+            if f:
+                _sub_scaled_mod(work, row, f, p)
+                _sub_scaled_mod(combo, rcombo, f, p)
+        if not work:
+            return combo
+        pivot = min(work)
+        inv = pow(work[pivot], -1, p)
+        if inv != 1:
+            work = {k: v * inv % p for k, v in work.items()}
+            combo = {k: v * inv % p for k, v in combo.items()}
+        self._rows.append((pivot, work, combo))
+        return None
+
+
+def _sub_scaled_mod(target: dict, source: dict, factor: int, p: int):
+    # target -= factor * source over GF(p), dropping zeros
+    for k, v in source.items():
+        s = (target.get(k, 0) - factor * v) % p
+        if s:
+            target[k] = s
+        else:
+            target.pop(k, None)
+
+
+def rational_reconstruction(a: int, m: int):
+    """The fraction r/t with r = a*t (mod m) and |r|, |t| <= sqrt(m/2),
+    or None if there is none (Wang 1981).
+
+    Within that bound the fraction is unique, so every rational whose
+    numerator and denominator fit comes back from its residue mod m.
+    """
+    bound = isqrt(m // 2)
+    r0, r1 = m, a % m
+    t0, t1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)

@@ -24,6 +24,23 @@ materializes full iterates only on demand.  Two facts make this sound:
 
 So on budget-exceeding inputs only degrees and top forms are ever
 computed, never the doubling iterates themselves.
+
+The elimination runs over GF(p) for a prime p just below 2^61, not over
+Q.  The rank mod p is at most the rank over Q, so the first dependence mod
+p comes no later than the true first one.  Its coefficients are lifted to
+Q by rational reconstruction, with more primes combined by the Chinese
+remainder theorem while reconstruction fails, and the lifted relation is
+returned only after the exact Fraction check that it vanishes on G.  A
+relation that vanishes exactly at an index no later than the true first
+dependence is the minimal polynomial.  Where a prime cannot decide (a
+denominator divisible by it, a dependence mod p while backfilling, primes
+that disagree on the index, or no lift that vanishes) the search runs
+again with the exact Fraction elimination, which is the reference.
+
+Every iterate is taken from the map's orbit (Endo.orbit), so
+certification, the vanishing and minimality checks and inversion compose
+each iterate once per map object.  No certificate rests on an assert:
+every failed check raises InconsistencyError.
 """
 
 from __future__ import annotations
@@ -34,7 +51,12 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .endo import Endo, linear_combination, verify_inverse_pair
-from .linalg import DependenceFinder
+from .linalg import (
+    DependenceFinder,
+    ModularDependenceFinder,
+    UnluckyPrime,
+    rational_reconstruction,
+)
 from .poly import NEG_INF, Poly, Rational
 
 
@@ -239,13 +261,16 @@ def _compose_leading(g: Endo, prev: _IterState):
 
 
 def _materialize(states, k: int, g: Endo):
-    """Fill in states[k].value, composing up the chain as needed."""
+    """Fill in states[k].value (and every earlier one) from g's orbit."""
     if states[k].value is not None:
         return
     _materialize(states, k - 1, g)
-    value = g.compose(states[k - 1].value)
+    value = g.orbit(k)[k]
     # the lazily computed degree certificate must agree with reality
-    assert tuple(c.total_degree() for c in value.coords) == states[k].degrees
+    if tuple(c.total_degree() for c in value.coords) != states[k].degrees:
+        raise InconsistencyError(
+            f"iterate {k} does not have the degrees its top forms predict"
+        )
     states[k].value = value
 
 
@@ -265,6 +290,15 @@ def _finite_max(degrees):
 # ----------------------------------------------------------------------
 # certification
 
+#: Primes below 2^61 for the modular dependence search, used in this
+#: order.  One prime lifts every coefficient whose numerator and
+#: denominator stay below about 2^30; each further prime adds about 30 bits.
+_PRIMES = (
+    2**61 - 1, 2**61 - 31, 2**61 - 45, 2**61 - 229,
+    2**61 - 259, 2**61 - 283, 2**61 - 339, 2**61 - 391,
+)
+
+
 def lf_certify(g: Endo, max_iter: int = 16, max_deg: int = 512) -> LFReport:
     """Search for the minimal polynomial of g within an iteration and
     degree budget.
@@ -279,20 +313,38 @@ def lf_certify(g: Endo, max_iter: int = 16, max_deg: int = 512) -> LFReport:
     if not isinstance(max_deg, int) or max_deg < 1:
         raise ValueError(f"max_deg must be a positive integer, got {max_deg!r}")
 
-    states = [_IterState.from_endo(Endo.identity(g.n))]
+    try:
+        report = _search(
+            g, max_iter, max_deg, ModularDependenceFinder(_PRIMES[0]), _lifted_relation
+        )
+    except UnluckyPrime:
+        report = None
+    if report is None:
+        # the primes could not decide: exact elimination does
+        report = _search(g, max_iter, max_deg, DependenceFinder(), _exact_relation)
+    return report
+
+
+def _search(
+    g: Endo, max_iter: int, max_deg: int, finder, relation
+) -> Optional[LFReport]:
+    """The lazy-degree search for the first dependence among g's iterates.
+
+    relation(g, combo, k, m) turns the finder's dependence, found when
+    iterate k was added while examining iterate m, into the minimal
+    polynomial, or returns None when it cannot; then so does the search.
+    """
+    states = [_IterState.from_endo(g.orbit(0)[0])]
     degree_seq = [states[0].degree]
     running_max = states[0].degree
-    finder = DependenceFinder()
-    finder.add(_flatten(states[0].value))
-    added = 1  # iterates 0..added-1 sit in the finder
+    added = 0  # iterates 0..added-1 sit in the finder
 
     for m in range(1, max_iter + 1):
         lead = _compose_leading(g, states[m - 1])
         if lead is None:
             # top-degree cancellation: only the real composition knows
             _materialize(states, m - 1, g)
-            value = g.compose(states[m - 1].value)
-            states.append(_IterState.from_endo(value))
+            states.append(_IterState.from_endo(g.orbit(m)[m]))
         else:
             states.append(_IterState(lead[0], lead[1], None))
         d = states[m].degree
@@ -313,18 +365,9 @@ def lf_certify(g: Endo, max_iter: int = 16, max_deg: int = 512) -> LFReport:
             combo = finder.add(_flatten(states[k].value))
             added += 1
             if combo is not None:
-                # only the newest iterate can close the first dependence;
-                # backfilled ones had strictly maximal degree when skipped
-                assert k == m, "dependence during backfill"
-                coeffs = [Fraction(0)] * (m + 1)
-                for idx, c in combo.items():
-                    coeffs[idx] = c
-                mu = UniPoly(coeffs)
-                assert mu.is_monic
-                witness = linear_combination(
-                    mu.coeffs, [states[j].value for j in range(m + 1)]
-                )
-                assert witness.is_zero_map, "certified relation failed to vanish"
+                mu = relation(g, combo, k, m)
+                if mu is None:
+                    return None
                 return LFReport(
                     "CertifiedLF", mu, tuple(degree_seq),
                     (m, _finite_max(degree_seq)),
@@ -335,26 +378,78 @@ def lf_certify(g: Endo, max_iter: int = 16, max_deg: int = 512) -> LFReport:
     )
 
 
+def _exact_relation(g: Endo, combo: dict, k: int, m: int) -> UniPoly:
+    """The minimal polynomial from a dependence over Q; raises
+    InconsistencyError if any check fails."""
+    # only the newest iterate can close the first dependence; backfilled
+    # ones had strictly maximal degree when skipped
+    if k != m:
+        raise InconsistencyError(f"dependence during backfill at iterate {k} of {m}")
+    mu = UniPoly([combo.get(j, 0) for j in range(m + 1)])
+    if not mu.is_monic:
+        raise InconsistencyError("the first dependence is not monic")
+    if not verify_vanishing(g, mu):
+        raise InconsistencyError("certified relation failed to vanish")
+    return mu
+
+
+def _lifted_relation(g: Endo, combo: dict, k: int, m: int) -> Optional[UniPoly]:
+    """The minimal polynomial lifted from the first prime's dependence, or
+    None when the primes cannot decide.
+
+    Reconstruction is tried after each prime; while it fails, or its
+    result does not vanish exactly, the next prime eliminates iterates
+    0..m again and must find its first dependence at m too.
+    """
+    if k != m:
+        return None  # impossible over Q (see _exact_relation): unlucky prime
+    residues = [combo.get(j, 0) for j in range(m + 1)]
+    modulus = _PRIMES[0]
+    vectors = None
+    for q in _PRIMES[1:] + (None,):
+        coeffs = [rational_reconstruction(r, modulus) for r in residues]
+        if None not in coeffs:
+            mu = UniPoly(coeffs)
+            if mu.is_monic and verify_vanishing(g, mu):
+                return mu
+        if q is None:
+            return None
+        if vectors is None:
+            vectors = [_flatten(it) for it in g.orbit(m)]
+        finder = ModularDependenceFinder(q)
+        for j, vec in enumerate(vectors):
+            step = finder.add(vec)
+            if (step is None) != (j < m):
+                return None  # the primes disagree on the first dependence
+        inv = pow(modulus, -1, q)
+        residues = [
+            r + modulus * ((step.get(j, 0) - r) * inv % q)
+            for j, r in enumerate(residues)
+        ]
+        modulus *= q
+
+
 def verify_vanishing(g: Endo, p: UniPoly) -> bool:
     """Exact check that p(g) = a_d g^{od} + ... + a_1 g + a_0 I is the
     zero map."""
-    iterates = [Endo.identity(g.n)]
-    for _ in range(p.degree):
-        iterates.append(g.compose(iterates[-1]))
-    return linear_combination(p.coeffs, iterates).is_zero_map
+    return linear_combination(p.coeffs, g.orbit(p.degree)).is_zero_map
 
 
 def minimality_certificate(g: Endo, mu: UniPoly) -> bool:
     """True iff no relation of degree below deg(mu) vanishes on g,
     i.e. the iterates I, g, ..., g^{o(d-1)} are linearly independent."""
-    finder = DependenceFinder()
-    current = Endo.identity(g.n)
-    for k in range(mu.degree):
-        if finder.add(_flatten(current)) is not None:
-            return False
-        if k + 1 < mu.degree:
-            current = g.compose(current)
-    return True
+    vectors = [_flatten(it) for it in g.orbit(mu.degree - 1)]
+    try:
+        # independent mod p implies independent over Q
+        if _independent(ModularDependenceFinder(_PRIMES[0]), vectors):
+            return True
+    except UnluckyPrime:
+        pass
+    return _independent(DependenceFinder(), vectors)
+
+
+def _independent(finder, vectors) -> bool:
+    return all(finder.add(vec) is None for vec in vectors)
 
 
 # ----------------------------------------------------------------------
@@ -375,14 +470,12 @@ def inverse_from_minpoly(g: Endo, mu: UniPoly) -> Endo:
             "vanishing polynomial has zero constant term; for an automorphism "
             "the minimal polynomial never does, so this map cannot be one"
         )
-    iterates = [Endo.identity(g.n)]
-    for _ in range(mu.degree - 1):
-        iterates.append(g.compose(iterates[-1]))
     a0 = mu.coeffs[0]
     inv = linear_combination(
-        [-(c / a0) for c in mu.coeffs[1:]], iterates
+        [-(c / a0) for c in mu.coeffs[1:]], g.orbit(mu.degree - 1)
     )
-    assert verify_inverse_pair(g, inv)
+    if not verify_inverse_pair(g, inv):
+        raise InconsistencyError("the inverse read off the minimal polynomial fails")
     return inv
 
 

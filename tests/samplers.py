@@ -6,6 +6,7 @@ reproducible; hypothesis-based tests build their own strategies instead.
 
 from fractions import Fraction
 
+from polyaut.endo import Endo
 from polyaut.linalg import mat_det
 from polyaut.poly import Poly
 from polyaut.tame import Affine, Diagonal, Elementary, TameWord
@@ -13,6 +14,10 @@ from polyaut.tame import Affine, Diagonal, Elementary, TameWord
 COEFF_POOL = [
     Fraction(v) for v in (-3, -2, -1, 1, 2, 3)
 ] + [Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3)]
+
+DIAGONAL_POOL = [Fraction(v) for v in (-3, -2, -1, 1, 2, 3)] + [
+    Fraction(1, 2), Fraction(-1, 3),
+]
 
 
 def random_poly(rng, n, max_deg, max_terms, avoid=()):
@@ -35,10 +40,30 @@ def random_elementary(rng, n, max_deg, max_terms=3) -> Elementary:
 
 
 def random_diagonal(rng, n) -> Diagonal:
-    pool = [Fraction(v) for v in (-3, -2, -1, 1, 2, 3)] + [
-        Fraction(1, 2), Fraction(-1, 3),
-    ]
-    return Diagonal(tuple(rng.choice(pool) for _ in range(n)))
+    return Diagonal(tuple(rng.choice(DIAGONAL_POOL) for _ in range(n)))
+
+
+def random_triangular(rng, n, max_deg=2, scalars=(Fraction(1),)) -> Endo:
+    """x_i -> a_i x_i + f_i(x_{i+1}, ..., x_n) with each a_i drawn from
+    scalars: unipotent by default, de Jonquieres with DIAGONAL_POOL.
+    Locally finite either way."""
+    coords = []
+    for i in range(1, n + 1):
+        tail = random_poly(rng, n, max_deg, 2, avoid=range(1, i + 1))
+        coords.append(rng.choice(scalars) * Poly.variable(n, i) + tail)
+    return Endo(coords)
+
+
+def random_henon(rng) -> Endo:
+    """(x2, x1 + c x2^d + c' x2^e) with d in {2, 3} and e < d: degrees
+    double or triple, so certification always runs out of budget."""
+    d = rng.choice((2, 3))
+    f = Poly(2, {
+        (1, 0): Fraction(1),
+        (0, d): rng.choice(COEFF_POOL),
+        (0, rng.randrange(d)): rng.choice(COEFF_POOL),
+    })
+    return Endo([Poly.variable(2, 2), f])
 
 
 def random_affine(rng, n, span=5) -> Affine:

@@ -1,10 +1,19 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polyaut.linalg import DependenceFinder, mat_det, mat_inverse, mat_vec
+from polyaut.linalg import (
+    DependenceFinder,
+    ModularDependenceFinder,
+    UnluckyPrime,
+    mat_det,
+    mat_inverse,
+    mat_vec,
+    rational_reconstruction,
+)
 
 Q = Fraction
 
@@ -102,3 +111,75 @@ def test_finder_combination_vanishes(vectors):
     # never more independent vectors than coordinates touched
     dim = len(set().union(*(v.keys() for v in vectors))) if any(vectors) else 0
     assert f.rank <= dim
+
+
+# ----------------------------------------------------------------------
+# the same search over GF(p), and lifting residues back to Q
+
+P61 = 2**61 - 1
+
+
+@given(
+    st.lists(
+        st.dictionaries(st.integers(min_value=0, max_value=4), entries, max_size=5),
+        min_size=1,
+        max_size=8,
+    ),
+    st.sampled_from([5, 7, P61]),
+)
+def test_modular_finder_combination_vanishes_mod_p(vectors, p):
+    # entries have denominators up to 4, so no prime here is unlucky
+    vectors = [{k: Q(v) for k, v in vec.items() if v} for vec in vectors]
+    f = ModularDependenceFinder(p)
+    exact = DependenceFinder()
+    exact_first = next(
+        (i for i, vec in enumerate(vectors) if exact.add(vec) is not None), None
+    )
+    for i, vec in enumerate(vectors):
+        combo = f.add(vec)
+        if combo is not None:
+            assert combo[i] == 1
+            assert all(0 <= c < p for c in combo.values())
+            keys = set().union(*(v.keys() for v in vectors[: i + 1]))
+            for k in keys:
+                total = sum(
+                    c * vectors[j].get(k, Q(0)) for j, c in combo.items()
+                )
+                assert (total.numerator * pow(total.denominator, -1, p)) % p == 0
+            # the rank mod p never exceeds the rank over Q
+            assert exact_first is None or i <= exact_first
+            return
+    assert exact_first is None
+    assert f.rank == f.vectors_seen == len(vectors)
+
+
+def test_modular_finder_rejects_denominator_divisible_by_p():
+    f = ModularDependenceFinder(3)
+    assert f.add({"a": Q(1, 2)}) is None
+    with pytest.raises(UnluckyPrime):
+        f.add({"a": Q(1), "b": Q(5, 6)})
+
+
+@given(
+    st.integers(min_value=-isqrt(P61 // 2), max_value=isqrt(P61 // 2)),
+    st.integers(min_value=1, max_value=isqrt(P61 // 2)),
+)
+def test_reconstruction_round_trip_within_bound(num, den):
+    x = Q(num, den)
+    residue = x.numerator * pow(x.denominator, -1, P61) % P61
+    assert rational_reconstruction(residue, P61) == x
+
+
+def test_reconstruction_values():
+    bound = isqrt(P61 // 2)
+    assert rational_reconstruction(0, P61) == 0
+    assert rational_reconstruction(P61 - 5, P61) == -5
+    assert rational_reconstruction(bound, P61) == bound
+    assert rational_reconstruction(P61 - bound, P61) == -bound
+    # just beyond the bound, and a coefficient that needs a second prime
+    assert rational_reconstruction(bound + 1, P61) is None
+    assert rational_reconstruction(P61 - bound - 1, P61) is None
+    assert rational_reconstruction((10**6 + 3) * (10**6 + 7), P61) is None
+    # modulus 15 = 3 * 5: bound 2
+    assert rational_reconstruction(-3 * pow(2, -1, 15) % 15, 15) is None
+    assert rational_reconstruction(pow(-2, -1, 15) % 15, 15) == Q(-1, 2)

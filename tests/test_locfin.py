@@ -5,8 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import samplers
+from polyaut import locfin
 from polyaut.endo import Endo, identity, iterate, verify_inverse_pair
+from polyaut.linalg import DependenceFinder
 from polyaut.locfin import (
     InconsistencyError,
     LFReport,
@@ -19,6 +24,7 @@ from polyaut.locfin import (
     verify_vanishing,
 )
 from polyaut.poly import NEG_INF, Poly
+from polyaut.tame import gen_to_endo
 from polyaut.textio import parse_map
 from polyaut.witness import nagata, nagata_inverse
 
@@ -300,3 +306,185 @@ def test_conjugation_degree_bound_and_lf_preservation():
             assert iterate(conj, m).degree() <= dp * iterate(g, m).degree() * dq
         r2 = lf_certify(conj, max_deg=dp * d * dq)
         assert r2.certified
+
+
+# ----------------------------------------------------------------------
+# the modular search agrees with exact elimination
+
+def _exact_reference(g, max_iter=16, max_deg=512):
+    """lf_certify's search with the Fraction finder alone."""
+    return locfin._search(
+        g, max_iter, max_deg, DependenceFinder(), locfin._exact_relation
+    )
+
+
+def _counting_fraction_finder(mp):
+    calls = []
+    add = DependenceFinder.add
+
+    def counted(self, vec):
+        calls.append(len(vec))
+        return add(self, vec)
+
+    mp.setattr(DependenceFinder, "add", counted)
+    return calls
+
+
+SAMPLED_MAPS = {
+    "triangular": lambda rng: samplers.random_triangular(rng, rng.randint(1, 3)),
+    "dejonquieres": lambda rng: samplers.random_triangular(
+        rng, rng.randint(1, 3), scalars=samplers.DIAGONAL_POOL
+    ),
+    "diagonal": lambda rng: gen_to_endo(samplers.random_diagonal(rng, rng.randint(1, 3))),
+    "henon": samplers.random_henon,
+}
+
+
+@pytest.mark.parametrize("primes", [None, (3, 5, 7)])
+@given(st.sampled_from(sorted(SAMPLED_MAPS)), st.integers(min_value=0, max_value=2**32))
+@settings(deadline=None, max_examples=60)
+def test_modular_certify_matches_fraction_finder(primes, kind, seed):
+    # with (3, 5, 7), unlucky primes, vanishing denominators and the
+    # fallback to exact elimination all occur
+    with pytest.MonkeyPatch.context() as mp:
+        if primes is not None:
+            mp.setattr(locfin, "_PRIMES", primes)
+        g = SAMPLED_MAPS[kind](random.Random(seed))
+        report = lf_certify(g)
+    assert report == _exact_reference(g)
+
+
+def test_certify_lifts_through_crt_without_fallback(monkeypatch):
+    # a0 = (10^6+3)(10^6+7) ~ 10^12 is beyond what one 61-bit prime lifts
+    # (|numerator|, denominator <= 2^30), so a second prime is combined in
+    calls = _counting_fraction_finder(monkeypatch)
+    a, b = 10**6 + 3, 10**6 + 7
+    g = parse_map(f"{a}*x1, {b}*x2", 2)
+    r = lf_certify(g)
+    assert r.minimal_polynomial == UniPoly([a * b, -(a + b), 1])
+    assert calls == []
+    assert r == _exact_reference(g)
+
+
+@pytest.mark.parametrize(
+    "text, n, primes, falls_back",
+    [
+        ("1/3*x1", 1, (3,), True),  # a denominator vanishes mod 3
+        # iterate 1 is the identity mod 3: a dependence while backfilling
+        ("x1 + 3*x2^2, x2", 2, (3,), True),
+        # mod 5, -2 does not lift; mod 3 the first dependence comes earlier
+        ("x1 + 3*x2^2, x2", 2, (5, 3), True),
+        # mod 3, T^2 - 3T + 2 lifts to T^2 - 1, which does not vanish ...
+        ("x1, 2*x2", 2, (3,), True),
+        # ... and with 7 combined in, the lift is right
+        ("x1, 2*x2", 2, (3, 7), False),
+    ],
+)
+def test_unlucky_primes(monkeypatch, text, n, primes, falls_back):
+    calls = _counting_fraction_finder(monkeypatch)
+    monkeypatch.setattr(locfin, "_PRIMES", primes)
+    g = parse_map(text, n)
+    r = lf_certify(g)
+    assert r.certified
+    assert bool(calls) == falls_back
+    assert r == _exact_reference(g)
+
+
+def test_minimality_falls_back_when_the_prime_is_unlucky(monkeypatch):
+    calls = _counting_fraction_finder(monkeypatch)
+    # independent over Q, but iterate 1 is the identity mod 3
+    g = parse_map("x1 + 3*x2^2, x2", 2)
+    assert minimality_certificate(g, UniPoly([1, -2, 1]))
+    assert calls == []
+    monkeypatch.setattr(locfin, "_PRIMES", (3,))
+    assert minimality_certificate(parse_map("x1 + 3*x2^2, x2", 2), UniPoly([1, -2, 1]))
+    assert calls
+
+
+# ----------------------------------------------------------------------
+# no certificate rests on an assert
+
+_OPTIMIZED_SCRIPT = """
+import sys
+assert False, "asserts are not stripped"
+from polyaut import locfin
+from polyaut.endo import Endo
+from polyaut.textio import parse_map
+
+def expect_inconsistency(fn):
+    try:
+        result = fn()
+    except locfin.InconsistencyError as exc:
+        return str(exc)
+    sys.exit(f"no InconsistencyError, got {result!r}")
+
+g = parse_map("x1 + x2^2, x2", 2)
+mu = locfin.lf_certify(g).minimal_polynomial
+real_check = locfin.verify_inverse_pair
+locfin.verify_inverse_pair = lambda f, h: False
+print(expect_inconsistency(lambda: locfin.inverse_from_minpoly(g, mu)))
+locfin.verify_inverse_pair = real_check
+nonzero = parse_map("x1, x2", 2)
+locfin.linear_combination = lambda coeffs, maps: nonzero
+print(expect_inconsistency(lambda: locfin.lf_certify(parse_map("x1 + x2^2, x2", 2))))
+"""
+
+
+def test_certificates_hold_under_python_optimize():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(locfin.__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr + out.stdout
+    assert out.stdout.splitlines() == [
+        "the inverse read off the minimal polynomial fails",
+        "certified relation failed to vanish",
+    ]
+
+
+def test_degree_certificate_mismatch_raises(monkeypatch):
+    # top forms that predict the wrong degree must not pass silently:
+    # here every iterate of the shear is claimed to stay linear
+    real = locfin._compose_leading
+
+    def stays_linear(g, prev):
+        lead = real(g, prev)
+        return None if lead is None else ((1,) * g.n, lead[1])
+
+    monkeypatch.setattr(locfin, "_compose_leading", stays_linear)
+    with pytest.raises(InconsistencyError):
+        lf_certify(shear())
+
+
+# ----------------------------------------------------------------------
+# one orbit of iterates per map object
+
+def test_each_iterate_is_composed_once_per_map(monkeypatch):
+    calls = []
+    compose = Endo.compose
+
+    def counted(self, other):
+        calls.append(self)
+        return compose(self, other)
+
+    monkeypatch.setattr(Endo, "compose", counted)
+    g = parse_map("x1 + x2^2, x2 + x3^2, x3", 3)
+    mu = lf_certify(g).minimal_polynomial
+    assert mu.degree == 4
+    assert len(calls) == 4  # g^1 ... g^4, each once
+    inverse_from_minpoly(g, mu)
+    assert len(calls) == 4 + 2  # plus g o inv and inv o g
+    assert verify_vanishing(g, mu)
+    assert minimality_certificate(g, mu)
+    assert len(calls) == 6
+    # the orbit lives on the map object, not in a module-level cache
+    h = parse_map("x1 + x2^2, x2 + x3^2, x3", 3)
+    assert h == g
+    lf_certify(h)
+    assert len(calls) == 10
