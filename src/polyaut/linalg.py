@@ -127,8 +127,9 @@ def _sub_scaled(target: dict, source: dict, factor: Fraction):
 
 
 class UnluckyPrime(ArithmeticError):
-    """A vector entry has a denominator divisible by the prime, so the
-    vector has no image over GF(p)."""
+    """The prime cannot decide: a vector entry has a denominator divisible
+    by it, so the vector has no image over GF(p), or a dependence found
+    mod p does not lift to the one over Q."""
 
 
 class ModularDependenceFinder(DependenceFinder):

@@ -36,6 +36,7 @@ dependence is the minimal polynomial.  Where a prime cannot decide (a
 denominator divisible by it, a dependence mod p while backfilling, primes
 that disagree on the index, or no lift that vanishes) the search runs
 again with the exact Fraction elimination, which is the reference.
+minimality_certificate uses that exact elimination alone.
 
 Every iterate is taken from the map's orbit (Endo.orbit), so
 certification, the vanishing and minimality checks and inversion compose
@@ -314,25 +315,20 @@ def lf_certify(g: Endo, max_iter: int = 16, max_deg: int = 512) -> LFReport:
         raise ValueError(f"max_deg must be a positive integer, got {max_deg!r}")
 
     try:
-        report = _search(
+        return _search(
             g, max_iter, max_deg, ModularDependenceFinder(_PRIMES[0]), _lifted_relation
         )
     except UnluckyPrime:
-        report = None
-    if report is None:
         # the primes could not decide: exact elimination does
-        report = _search(g, max_iter, max_deg, DependenceFinder(), _exact_relation)
-    return report
+        return _search(g, max_iter, max_deg, DependenceFinder(), _exact_relation)
 
 
-def _search(
-    g: Endo, max_iter: int, max_deg: int, finder, relation
-) -> Optional[LFReport]:
+def _search(g: Endo, max_iter: int, max_deg: int, finder, relation) -> LFReport:
     """The lazy-degree search for the first dependence among g's iterates.
 
     relation(g, combo, k, m) turns the finder's dependence, found when
     iterate k was added while examining iterate m, into the minimal
-    polynomial, or returns None when it cannot; then so does the search.
+    polynomial.
     """
     states = [_IterState.from_endo(g.orbit(0)[0])]
     degree_seq = [states[0].degree]
@@ -365,11 +361,8 @@ def _search(
             combo = finder.add(_flatten(states[k].value))
             added += 1
             if combo is not None:
-                mu = relation(g, combo, k, m)
-                if mu is None:
-                    return None
                 return LFReport(
-                    "CertifiedLF", mu, tuple(degree_seq),
+                    "CertifiedLF", relation(g, combo, k, m), tuple(degree_seq),
                     (m, _finite_max(degree_seq)),
                 )
 
@@ -393,16 +386,17 @@ def _exact_relation(g: Endo, combo: dict, k: int, m: int) -> UniPoly:
     return mu
 
 
-def _lifted_relation(g: Endo, combo: dict, k: int, m: int) -> Optional[UniPoly]:
-    """The minimal polynomial lifted from the first prime's dependence, or
-    None when the primes cannot decide.
+def _lifted_relation(g: Endo, combo: dict, k: int, m: int) -> UniPoly:
+    """The minimal polynomial lifted from the first prime's dependence;
+    raises UnluckyPrime when the primes cannot decide.
 
     Reconstruction is tried after each prime; while it fails, or its
     result does not vanish exactly, the next prime eliminates iterates
     0..m again and must find its first dependence at m too.
     """
     if k != m:
-        return None  # impossible over Q (see _exact_relation): unlucky prime
+        # impossible over Q (see _exact_relation)
+        raise UnluckyPrime(f"dependence mod p during backfill at iterate {k} of {m}")
     residues = [combo.get(j, 0) for j in range(m + 1)]
     modulus = _PRIMES[0]
     vectors = None
@@ -413,14 +407,14 @@ def _lifted_relation(g: Endo, combo: dict, k: int, m: int) -> Optional[UniPoly]:
             if mu.is_monic and verify_vanishing(g, mu):
                 return mu
         if q is None:
-            return None
+            raise UnluckyPrime("no lift from the primes vanishes on the map")
         if vectors is None:
             vectors = [_flatten(it) for it in g.orbit(m)]
         finder = ModularDependenceFinder(q)
         for j, vec in enumerate(vectors):
             step = finder.add(vec)
             if (step is None) != (j < m):
-                return None  # the primes disagree on the first dependence
+                raise UnluckyPrime("the primes disagree on the first dependence")
         inv = pow(modulus, -1, q)
         residues = [
             r + modulus * ((step.get(j, 0) - r) * inv % q)
@@ -438,18 +432,10 @@ def verify_vanishing(g: Endo, p: UniPoly) -> bool:
 def minimality_certificate(g: Endo, mu: UniPoly) -> bool:
     """True iff no relation of degree below deg(mu) vanishes on g,
     i.e. the iterates I, g, ..., g^{o(d-1)} are linearly independent."""
-    vectors = [_flatten(it) for it in g.orbit(mu.degree - 1)]
-    try:
-        # independent mod p implies independent over Q
-        if _independent(ModularDependenceFinder(_PRIMES[0]), vectors):
-            return True
-    except UnluckyPrime:
-        pass
-    return _independent(DependenceFinder(), vectors)
-
-
-def _independent(finder, vectors) -> bool:
-    return all(finder.add(vec) is None for vec in vectors)
+    finder = DependenceFinder()
+    return all(
+        finder.add(_flatten(it)) is None for it in g.orbit(mu.degree - 1)
+    )
 
 
 # ----------------------------------------------------------------------

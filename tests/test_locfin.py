@@ -390,17 +390,6 @@ def test_unlucky_primes(monkeypatch, text, n, primes, falls_back):
     assert r == _exact_reference(g)
 
 
-def test_minimality_falls_back_when_the_prime_is_unlucky(monkeypatch):
-    calls = _counting_fraction_finder(monkeypatch)
-    # independent over Q, but iterate 1 is the identity mod 3
-    g = parse_map("x1 + 3*x2^2, x2", 2)
-    assert minimality_certificate(g, UniPoly([1, -2, 1]))
-    assert calls == []
-    monkeypatch.setattr(locfin, "_PRIMES", (3,))
-    assert minimality_certificate(parse_map("x1 + 3*x2^2, x2", 2), UniPoly([1, -2, 1]))
-    assert calls
-
-
 # ----------------------------------------------------------------------
 # no certificate rests on an assert
 
