@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Monomial = tuple  # exponent tuple, one entry per variable
 Rational = Union[int, Fraction]
@@ -347,29 +347,3 @@ def _mul_via_integers(a: dict, b: dict) -> dict:
     scale = la * lb
     return {m: Fraction(v, scale) for m, v in out.items() if v}
 
-
-# Functional aliases for the core ring operations.
-
-def add(p: Poly, q: Poly) -> Poly:
-    """Exact sum p + q (same dimension required)."""
-    return p + q
-
-
-def mul(p: Poly, q: Poly) -> Poly:
-    """Exact product p * q (same dimension required)."""
-    return p * q
-
-
-def substitute(p: Poly, args: Iterable[Poly]) -> Poly:
-    """Substitute args[i-1] for x_i in p."""
-    return p.substitute(list(args))
-
-
-def total_degree(p: Poly):
-    """Total degree of p; NEG_INF for the zero polynomial."""
-    return p.total_degree()
-
-
-def partial_derivative(p: Poly, i: int) -> Poly:
-    """Formal partial derivative of p with respect to x_i (1-based)."""
-    return p.partial_derivative(i)

@@ -7,11 +7,13 @@ composition, written left to right with the leftmost factor applied last,
 F = G_1 o ... o G_s.
 
 normal_form rewrites any word as E_1 o ... o E_s o D: affines are expanded
-into transvections and diagonals by Gaussian elimination, then every
-diagonal is pushed to the right through the elementaries using the exact
-rewriting D o E = E~ o D.  The rewriting rule is taken from the composition
-identity itself: E~ adds g~ = c_i * g(X_1/c_1, ..., X_n/c_n) to slot i, and
-the identity D o E = E~ o D is asserted after every push.
+into transvections and diagonals by Gaussian elimination, then one left to
+right scan keeps the product D of the diagonals seen so far and pushes each
+elementary through it once, using the exact rewriting D o E = E~ o D.  The
+rewriting rule is taken from the composition identity itself: E~ adds
+g~ = c_i * g(X_1/c_1, ..., X_n/c_n) to slot i.  Every push is checked by
+composing both sides as maps, and a failed check raises InconsistencyError,
+so it holds under python -O too.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Union
 
 from .endo import Endo
 from .linalg import mat_det, mat_inverse, mat_vec
+from .locfin import InconsistencyError
 from .poly import Poly
 from .textio import parse_poly, render_poly
 
@@ -128,7 +131,7 @@ class TameWord:
         if not isinstance(doc, dict) or "n" not in doc or "factors" not in doc:
             raise ValueError("word document needs 'n' and 'factors'")
         n = doc["n"]
-        if not isinstance(n, int) or n < 1:
+        if not _is_json_int(n) or n < 1:
             raise ValueError(f"dimension must be a positive integer, got {n!r}")
         if not isinstance(doc["factors"], list):
             raise ValueError("'factors' must be a list")
@@ -155,21 +158,40 @@ def _gen_to_json(f: Generator) -> dict:
     }
 
 
+def _is_json_int(v) -> bool:
+    # JSON true/false arrive as bool, a subclass of int
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _json_rational(v) -> Fraction:
+    """An exact rational from a JSON integer or a string such as "-2/3";
+    a JSON float is already rounded to binary, so it is refused."""
+    if not (_is_json_int(v) or isinstance(v, str)):
+        raise ValueError(f"expected an integer or a rational string, got {v!r}")
+    return Fraction(v)
+
+
+def _json_rationals(v) -> tuple:
+    if not isinstance(v, list):
+        raise ValueError(f"expected a list of rationals, got {v!r}")
+    return tuple(_json_rational(x) for x in v)
+
+
 def _gen_from_json(doc, n: int) -> Generator:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError(f"not a generator document: {doc!r}")
     kind = doc["kind"]
     try:
         if kind == "elementary":
-            if not isinstance(doc["i"], int):
+            if not _is_json_int(doc["i"]):
                 raise ValueError(f"'i' must be an integer, got {doc['i']!r}")
             return Elementary(doc["i"], parse_poly(doc["g"], n))
         if kind == "diagonal":
-            return Diagonal(tuple(Fraction(v) for v in doc["c"]))
+            return Diagonal(_json_rationals(doc["c"]))
         if kind == "affine":
             return Affine(
-                tuple(tuple(Fraction(v) for v in row) for row in doc["A"]),
-                tuple(Fraction(v) for v in doc["b"]),
+                tuple(_json_rationals(row) for row in doc["A"]),
+                _json_rationals(doc["b"]),
             )
     except KeyError as exc:
         raise ValueError(f"generator document missing field {exc}") from exc
@@ -288,23 +310,38 @@ def affine_to_word(f: Affine) -> TameWord:
 # ----------------------------------------------------------------------
 # the normal form
 
+def _scaled_addend(g: Poly, c: tuple, i: int) -> Poly:
+    # g~ = c_i * g(X_1/c_1, ..., X_n/c_n), term by term: the term a * X^m
+    # becomes a * c_i * prod_l c_l^(-m_l) * X^m; every c_l is nonzero, so
+    # no coefficient vanishes and the terms stay canonical for Poly._raw
+    inv = [1 / v for v in c]
+    ci = c[i - 1]
+    terms = {}
+    for mono, a in g.terms.items():
+        for l, e in enumerate(mono):
+            if e:
+                a = a * inv[l] ** e
+        terms[mono] = a * ci
+    return Poly._raw(g.n, terms)
+
+
 def push_diagonal(d: Diagonal, e: Elementary) -> tuple:
     """Rewrite D o E as (E~, D) with E~ elementary in the same slot.
 
     g~ = c_i * g(X_1/c_1, ..., X_n/c_n); both sides add to slot i, where
     D contributes the factor c_i and E~'s addend must absorb it after the
-    variables have already been scaled.  The composition identity is the
-    contract and is asserted on every call.
+    variables have already been scaled.  g~ is computed term by term; the
+    composition identity D o E = E~ o D is the contract, checked on every
+    call by composing both sides as maps, and InconsistencyError is raised
+    if it fails.
     """
     if d.n != e.n:
         raise ValueError(f"dimension mismatch: {d.n} vs {e.n}")
-    n = d.n
-    scaled = [Poly.variable(n, l + 1) * (1 / d.c[l]) for l in range(n)]
-    g_new = e.g.substitute(scaled) * d.c[e.i - 1]
-    e_new = Elementary(e.i, g_new)
-    assert gen_to_endo(d).compose(gen_to_endo(e)) == gen_to_endo(e_new).compose(
+    e_new = Elementary(e.i, _scaled_addend(e.g, d.c, e.i))
+    if gen_to_endo(d).compose(gen_to_endo(e)) != gen_to_endo(e_new).compose(
         gen_to_endo(d)
-    ), "push identity D o E = E~ o D failed"
+    ):
+        raise InconsistencyError("push identity D o E = E~ o D failed")
     return e_new, d
 
 
@@ -338,9 +375,11 @@ class NormalForm:
 def normal_form(w: TameWord) -> NormalForm:
     """Rewrite a tame word as elementaries followed by one diagonal.
 
-    Affine factors are expanded first; diagonals are then pushed right
-    through the elementaries one factor at a time (right to left), fusing
-    into a single trailing diagonal.
+    Affine factors are expanded first.  One scan from left to right then
+    keeps the product of the diagonals seen so far, merges each further
+    diagonal into it, and pushes each elementary through it exactly once.
+    Pushing through a product of diagonals gives the same g~ as pushing
+    through them one at a time, since c_i * g(X/c) is multiplicative in c.
     """
     n = w.n
     flat = []
@@ -352,14 +391,10 @@ def normal_form(w: TameWord) -> NormalForm:
 
     elementaries = []
     diag = Diagonal(tuple(Fraction(1) for _ in range(n)))
-    for f in reversed(flat):
+    for f in flat:
         if isinstance(f, Diagonal):
-            pushed = []
-            for e in elementaries:
-                e_new, f = push_diagonal(f, e)
-                pushed.append(e_new)
-            elementaries = pushed
-            diag = _merge_diagonals(f, diag)
+            diag = _merge_diagonals(diag, f)
         else:
-            elementaries.insert(0, f)
+            e_new, diag = push_diagonal(diag, f)
+            elementaries.append(e_new)
     return NormalForm(tuple(elementaries), diag)

@@ -162,10 +162,19 @@ class _Parser:
         raise ParseError(f"unknown variable {name!r}", pos)
 
 
+def _too_deep(p: _Parser) -> ParseError:
+    # the grammar recurses once per parenthesis or unary minus, so deep
+    # nesting exhausts the interpreter stack; that is bad input, not a crash
+    return ParseError("expression nested too deeply", p.peek()[2])
+
+
 def parse_poly(text: str, n: int) -> Poly:
     """Parse one expression as a dimension-n polynomial."""
     p = _Parser(text, n)
-    result = p.expr()
+    try:
+        result = p.expr()
+    except RecursionError:
+        raise _too_deep(p) from None
     kind, val, pos = p.peek()
     if kind != "end":
         raise ParseError(f"unexpected {val!r} after expression", pos)
@@ -175,9 +184,12 @@ def parse_poly(text: str, n: int) -> Poly:
 def parse_map(text: str, n: int) -> Endo:
     """Parse n comma-separated expressions as an endomorphism."""
     p = _Parser(text, n)
-    coords = [p.expr()]
-    while p.accept(","):
-        coords.append(p.expr())
+    try:
+        coords = [p.expr()]
+        while p.accept(","):
+            coords.append(p.expr())
+    except RecursionError:
+        raise _too_deep(p) from None
     kind, val, pos = p.peek()
     if kind != "end":
         raise ParseError(f"unexpected {val!r} after expression", pos)
@@ -242,7 +254,7 @@ class MapDocument:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(self.coords))
-        if not isinstance(self.n, int) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.n!r}")
         if len(self.coords) != self.n:
             raise ValueError(

@@ -192,6 +192,13 @@ def test_parse_error_gives_exit_3(capsys):
     assert "error" in err
 
 
+def test_deep_nesting_gives_exit_3(capsys):
+    code, _, err = run(capsys, "parse-check", "--n", "1",
+                       "--map", "(" * 3000 + "x1" + ")" * 3000)
+    assert code == 3
+    assert "nested too deeply" in err
+
+
 def test_wrong_coordinate_count_gives_exit_3(capsys):
     code, _, err = run(capsys, "parse-check", "--n", "3", "--map", "x1, x2")
     assert code == 3
@@ -227,6 +234,17 @@ def test_missing_file_gives_exit_3(capsys):
 def test_bad_word_document_gives_exit_3(capsys, tmp_path):
     word = tmp_path / "word.json"
     word.write_text('{"n": 2, "factors": [{"kind": "diagonal", "c": ["0", "1"]}]}')
+    code, _, _ = run(capsys, "normal-form", "--file", str(word))
+    assert code == 3
+
+
+@pytest.mark.parametrize("factor", [
+    '{"kind": "diagonal", "c": [0.1, "1"]}',
+    '{"kind": "elementary", "i": true, "g": "x2"}',
+])
+def test_inexact_word_scalars_give_exit_3(capsys, tmp_path, factor):
+    word = tmp_path / "word.json"
+    word.write_text('{"n": 2, "factors": [%s]}' % factor)
     code, _, _ = run(capsys, "normal-form", "--file", str(word))
     assert code == 3
 

@@ -1,10 +1,17 @@
 """Generator words, affine expansion, diagonal pushing, normal form."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polyaut import cli, tame
 from polyaut.endo import Endo, identity, verify_inverse_pair
 from polyaut.poly import Poly
 from polyaut.tame import (
@@ -23,7 +30,7 @@ from polyaut.tame import (
     word_to_endo,
 )
 from polyaut.textio import parse_map, parse_poly
-from samplers import random_affine, random_word
+from samplers import random_affine, random_diagonal, random_elementary, random_word
 
 Q = Fraction
 
@@ -177,8 +184,6 @@ def test_push_constant_g():
 
 def test_push_random_composition_identity():
     rng = random.Random(5)
-    from samplers import random_diagonal, random_elementary
-
     for n in (2, 3):
         for _ in range(20):
             d = random_diagonal(rng, n)
@@ -233,6 +238,123 @@ def test_normal_form_random_round_trip():
             assert word_to_endo(nf.to_word()) == word_to_endo(w)
 
 
+def _reference_push(d, e):
+    # the push as first written: substitute X_l -> X_l / c_l, scale by c_i
+    n = d.n
+    scaled = [Poly.variable(n, l + 1) * (1 / d.c[l]) for l in range(n)]
+    return Elementary(e.i, e.g.substitute(scaled) * d.c[e.i - 1])
+
+
+def _reference_normal_form(w):
+    # right to left: each diagonal is pushed through every elementary to
+    # its right, one diagonal at a time
+    flat = []
+    for f in w.factors:
+        flat.extend(affine_to_word(f).factors if isinstance(f, Affine) else (f,))
+    elementaries = []
+    diag = Diagonal((Q(1),) * w.n)
+    for f in reversed(flat):
+        if isinstance(f, Diagonal):
+            elementaries = [_reference_push(f, e) for e in elementaries]
+            diag = Diagonal(tuple(a * b for a, b in zip(f.c, diag.c)))
+        else:
+            elementaries.insert(0, f)
+    return NormalForm(tuple(elementaries), diag)
+
+
+@st.composite
+def words_with_affines(draw):
+    n = draw(st.sampled_from((2, 3, 4)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    w = random_word(rng, n, 6)
+    k = draw(st.integers(min_value=0, max_value=len(w)))
+    return TameWord(w.factors[:k] + (random_affine(rng, n),) + w.factors[k:], n)
+
+
+@given(words_with_affines())
+@settings(deadline=None, max_examples=40)
+def test_normal_form_matches_right_to_left_reference(w):
+    nf, ref = normal_form(w), _reference_normal_form(w)
+    assert nf.diagonal == ref.diagonal
+    assert len(nf.elementaries) == len(ref.elementaries)
+    for e, r in zip(nf.elementaries, ref.elementaries):
+        assert e.i == r.i and e.g.terms == r.g.terms
+    assert nf.to_word().to_json() == ref.to_word().to_json()
+
+
+def test_each_elementary_is_pushed_once(monkeypatch):
+    calls = []
+    push = tame.push_diagonal
+
+    def counted(d, e):
+        calls.append(e)
+        return push(d, e)
+
+    monkeypatch.setattr(tame, "push_diagonal", counted)
+    rng = random.Random(29)
+    factors = []
+    for _ in range(4):
+        factors += [random_elementary(rng, 3, 2), random_diagonal(rng, 3),
+                    random_affine(rng, 3), random_diagonal(rng, 3)]
+    w = TameWord(tuple(factors), 3)
+    expanded = [
+        g for f in w.factors
+        for g in (affine_to_word(f).factors if isinstance(f, Affine) else (f,))
+    ]
+    elementaries = [f for f in expanded if isinstance(f, Elementary)]
+    nf = normal_form(w)
+    assert calls == elementaries
+    assert len(nf.elementaries) == len(elementaries)
+
+
+# ----------------------------------------------------------------------
+# a wrong push is caught, also under python -O
+
+_OPTIMIZED_SCRIPT = """
+import sys
+assert False, "asserts are not stripped"
+from fractions import Fraction
+from polyaut import tame
+from polyaut.locfin import InconsistencyError
+from polyaut.textio import parse_poly
+
+real = tame._scaled_addend
+tame._scaled_addend = lambda g, c, i: real(g, c, i) + 1
+d = tame.Diagonal((Fraction(2), Fraction(1)))
+e = tame.Elementary(2, parse_poly("x1^2", 2))
+for attempt in (lambda: tame.push_diagonal(d, e),
+                lambda: tame.normal_form(tame.TameWord((d, e), 2))):
+    try:
+        result = attempt()
+    except InconsistencyError as exc:
+        print(exc)
+    else:
+        sys.exit(f"no InconsistencyError, got {result!r}")
+"""
+
+
+def test_push_check_holds_under_python_optimize():
+    src = os.path.join(os.path.dirname(tame.__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr + out.stdout
+    assert out.stdout.splitlines() == ["push identity D o E = E~ o D failed"] * 2
+
+
+def test_wrong_push_makes_the_cli_exit_1(monkeypatch, tmp_path, capsys):
+    real = tame._scaled_addend
+    monkeypatch.setattr(tame, "_scaled_addend", lambda g, c, i: real(g, c, i) + 1)
+    word = tmp_path / "word.json"
+    word.write_text(TameWord((Diagonal((Q(2), Q(1))), E(2, "x1^2", 2)), 2).to_json())
+    assert cli.main(["normal-form", "--file", str(word)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "push identity" in captured.err
+
+
 def test_jacobian_bookkeeping():
     rng = random.Random(23)
     one = Poly.constant(2, 1)
@@ -273,3 +395,29 @@ def test_word_json_validation():
         )
     with pytest.raises(ValueError):
         TameWord.from_json("[]")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": True, "factors": []},
+        {"n": 2, "factors": [{"kind": "elementary", "i": True, "g": "x2"}]},
+        {"n": 2, "factors": [{"kind": "diagonal", "c": [0.1, "1"]}]},
+        {"n": 2, "factors": [{"kind": "diagonal", "c": [False, "1"]}]},
+        {"n": 2, "factors": [{"kind": "diagonal", "c": "12"}]},
+        {"n": 2, "factors": [
+            {"kind": "affine", "A": [[1.0, "0"], ["0", "1"]], "b": ["0", "0"]}]},
+        {"n": 2, "factors": [
+            {"kind": "affine", "A": [["1", "0"], ["0", "1"]], "b": [0.5, "0"]}]},
+        {"n": 2, "factors": [
+            {"kind": "affine", "A": "12", "b": ["0", "0"]}]},
+    ],
+)
+def test_word_json_rejects_floats_and_bools(doc):
+    with pytest.raises(ValueError):
+        TameWord.from_json(json.dumps(doc))
+
+
+def test_word_json_accepts_integers_and_rational_strings():
+    doc = {"n": 2, "factors": [{"kind": "diagonal", "c": [2, "-1/3"]}]}
+    assert TameWord.from_json(json.dumps(doc)).factors == (Diagonal((Q(2), Q(-1, 3))),)

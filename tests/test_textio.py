@@ -197,3 +197,24 @@ def test_map_document_validation():
         MapDocument.from_json("not json")
     with pytest.raises(ValueError):
         MapDocument.from_json('{"n": 2, "coords": "x1, x2"}')
+
+
+def test_map_document_rejects_bool_dimension():
+    with pytest.raises(ValueError):
+        MapDocument.from_json('{"n": true, "coords": ["x1"]}')
+
+
+# ----------------------------------------------------------------------
+# nesting deeper than the interpreter stack is a parse error
+
+@pytest.mark.parametrize(
+    "text",
+    ["(" * 3000 + "x1" + ")" * 3000, "-" * 5000 + "x1", "x1 + " + "(" * 3000],
+)
+def test_deep_nesting_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_poly(text, 2)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_map(text + ", x2", 2)
+    # the parser still works afterwards
+    assert parse_poly("(" * 50 + "x1" + ")" * 50, 2) == Poly.variable(2, 1)
