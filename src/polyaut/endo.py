@@ -194,39 +194,6 @@ def _det_bareiss(rows) -> Poly:
 # ----------------------------------------------------------------------
 # module-level operations
 
-def identity(n: int) -> Endo:
-    """The identity map (x_1, ..., x_n)."""
-    return Endo.identity(n)
-
-
-def compose(f: Endo, g: Endo) -> Endo:
-    """f o g (g applied first)."""
-    return f.compose(g)
-
-
-def iterate(g: Endo, m: int) -> Endo:
-    """The m-th iterate of g."""
-    return g.iterate(m)
-
-
-def degree(g: Endo):
-    """max coordinate total degree of g."""
-    return g.degree()
-
-
-def jacobian_matrix(g: Endo) -> SquareMatrixPoly:
-    return g.jacobian_matrix()
-
-
-def jacobian_det(g: Endo) -> Poly:
-    return g.jacobian_det()
-
-
-def equals(f: Endo, g: Endo) -> bool:
-    """Exact equality of canonical coordinates (False on dimension mismatch)."""
-    return isinstance(f, Endo) and isinstance(g, Endo) and f == g
-
-
 def linear_combination(coeffs: Sequence[Rational], maps: Sequence[Endo]) -> Endo:
     """Coordinatewise rational linear combination sum_k coeffs[k] * maps[k]."""
     coeffs = [Fraction(c) for c in coeffs]
@@ -240,11 +207,13 @@ def linear_combination(coeffs: Sequence[Rational], maps: Sequence[Endo]) -> Endo
         raise ValueError("maps have mixed dimensions")
     coords = []
     for i in range(n):
-        acc = Poly.zero(n)
+        acc: dict = {}
+        get = acc.get
         for c, g in zip(coeffs, maps):
             if c:
-                acc = acc + g.coords[i] * c
-        coords.append(acc)
+                for mono, v in g.coords[i].terms.items():
+                    acc[mono] = get(mono, 0) + c * v
+        coords.append(Poly._raw(n, {m: v for m, v in acc.items() if v}))
     return Endo(coords)
 
 

@@ -14,12 +14,24 @@ The zero polynomial is the empty map.  All coefficients are
 `fractions.Fraction`, so every operation in this module is exact and
 polynomial identity testing is reliable.  Values are immutable after
 construction; all operations build new objects.
+
+Every product (`Poly.__mul__`, and the powers and partial products of
+`Poly.substitute`) goes through one integer kernel, `_convolve`: for the
+length of one product each operand becomes integer numerators over one
+common denominator, keyed by its exponent tuple packed into a single int
+(after Monagan and Pearce, CASC 2007), so the inner loop adds ints and
+multiplies ints.  The result is unpacked once, back into the canonical
+map above.  A one-term factor skips the kernel: it only shifts exponents
+and scales coefficients.  Packing lives only inside a product; `terms` stays the
+canonical {exponent tuple: Fraction} map.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from math import lcm
+from operator import add, lshift, mul
 from typing import Mapping, Sequence, Union
 
 Monomial = tuple  # exponent tuple, one entry per variable
@@ -27,13 +39,6 @@ Rational = Union[int, Fraction]
 
 #: Total degree of the zero polynomial: a sentinel below every integer.
 NEG_INF = float("-inf")
-
-# Above this many coefficient products, mul() switches to an integer
-# convolution (clear denominators, multiply ints, divide once at the end).
-# Fraction arithmetic re-normalizes on every operation and is roughly an
-# order of magnitude slower in the hot loop.
-_INT_MUL_THRESHOLD = 2000
-
 
 def monomial_degree(mono: Monomial) -> int:
     """Total degree of an exponent tuple."""
@@ -197,19 +202,18 @@ class Poly:
         a, b = self.terms, other.terms
         if not a or not b:
             return Poly.zero(self.n)
-        if len(a) * len(b) > _INT_MUL_THRESHOLD:
-            return Poly._raw(self.n, _mul_via_integers(a, b))
-        out: dict = {}
-        get = out.get
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                m = tuple(map(sum, zip(ma, mb)))
-                s = get(m, 0) + ca * cb
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return Poly._raw(self.n, out)
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            # a monomial factor shifts exponents and scales coefficients
+            ((mb, cb),) = b.items()
+            return Poly._raw(
+                self.n, {tuple(map(add, m, mb)): c * cb for m, c in a.items()}
+            )
+        shifts = _shifts(self.n, max(map(sum, a)) + max(map(sum, b)))
+        ia, la = _pack(a, shifts)
+        ib, lb = _pack(b, shifts)
+        return Poly._raw(self.n, _unpack(_convolve(ia, ib), la * lb, shifts))
 
     __rmul__ = __mul__
 
@@ -277,27 +281,57 @@ class Poly:
                 raise ValueError("substitution arguments have mixed dimensions")
         if not self.terms:
             return Poly.zero(m)
-        # cache powers of each argument up to the largest exponent used
-        max_exp = [0] * self.n
-        for mono in self.terms:
-            for k, e in enumerate(mono):
-                if e > max_exp[k]:
-                    max_exp[k] = e
-        powers: list[list[Poly]] = []
-        one = Poly.constant(m, 1)
-        for k, q in enumerate(args):
-            pw = [one]
-            for _ in range(max_exp[k]):
-                pw.append(pw[-1] * q)
+        last = self.n - 1
+        max_exp = list(map(max, zip(*self.terms)))
+        # one field width for the arguments, their powers and every
+        # partial product: none exceeds the degree of the result
+        degs = [max(q.total_degree(), 0) for q in args]
+        shifts = _shifts(m, max(sum(map(mul, mono, degs)) for mono in self.terms))
+        # each argument as numerators over its own denominator, then its
+        # powers; every term goes over the one common denominator
+        # lcm(coefficient denominators) * prod L_k^max_exp[k]
+        powers, scales = [], []
+        for q, top in zip(args, max_exp):
+            pw, lk = [{0: 1}], 1
+            if top:
+                packed, lk = _pack(q.terms, shifts)
+                pw.append(packed)
+                for _ in range(top - 1):
+                    pw.append(_convolve(pw[-1], packed))
             powers.append(pw)
-        total = Poly.zero(m)
-        for mono, c in self.terms.items():
-            term = Poly.constant(m, c)
-            for k, e in enumerate(mono):
-                if e:
-                    term = term * powers[k][e]
-            total = total + term
-        return total
+            scales.append([lk ** (top - e) for e in range(top + 1)])
+        lc = lcm(*(c.denominator for c in self.terms.values()))
+        denominator = lc
+        for sc in scales:
+            denominator *= sc[0]
+        # Horner-style in the last variable: per prefix (the other
+        # exponents), sum the scaled powers of the last argument, then one
+        # product with the prefix's product.  Sorted prefixes share their
+        # leading factors through a stack of partial products.
+        out: dict = {}
+        stack = [{0: 1}]
+        prev = ()
+        for prefix, group in groupby(
+            sorted(self.terms.items()), key=lambda kv: kv[0][:last]
+        ):
+            inner: dict = {}
+            get = inner.get
+            for mono, c in group:
+                s = c.numerator * (lc // c.denominator)
+                for sc, e in zip(scales, mono):
+                    s *= sc[e]
+                for key, v in powers[last][mono[last]].items():
+                    inner[key] = get(key, 0) + s * v
+            j = 0
+            while j < len(prev) and prev[j] == prefix[j]:
+                j += 1
+            del stack[j + 1:]
+            for k in range(j, last):
+                e = prefix[k]
+                stack.append(_convolve(stack[-1], powers[k][e]) if e else stack[-1])
+            prev = prefix
+            _convolve(stack[-1], inner, out)
+        return Poly._raw(m, _unpack(out, denominator, shifts))
 
     # ------------------------------------------------------------------
     # exact division (used by fraction-free determinant elimination)
@@ -328,22 +362,54 @@ class Poly:
         return Poly._raw(self.n, {m: c for m, c in quot.items() if c})
 
 
-def _mul_via_integers(a: dict, b: dict) -> dict:
-    """Convolution of two term maps through integer arithmetic.
+# ----------------------------------------------------------------------
+# the product kernel: exponent tuples packed into one int, coefficients as
+# integer numerators over one denominator per operand
 
-    Multiplying each operand by the lcm of its denominators turns every
-    coefficient product in the inner loop into a plain int multiply.
+def _shifts(n: int, degree_bound: int) -> range:
+    """Bit offsets of n exponent fields for products of degree <= degree_bound.
+
+    Every exponent of such a product is at most degree_bound, so adding
+    packed exponents never carries from one field of
+    bit_length(degree_bound) + 1 bits into the next; the spare top bit
+    also keeps the width positive when everything is constant.
     """
-    la = lcm(*(c.denominator for c in a.values())) if a else 1
-    lb = lcm(*(c.denominator for c in b.values())) if b else 1
-    ia = {m: int(c * la) for m, c in a.items()}
-    ib = {m: int(c * lb) for m, c in b.items()}
-    out: dict = {}
-    get = out.get
-    for ma, ca in ia.items():
-        for mb, cb in ib.items():
-            m = tuple(map(sum, zip(ma, mb)))
-            out[m] = get(m, 0) + ca * cb
-    scale = la * lb
-    return {m: Fraction(v, scale) for m, v in out.items() if v}
+    width = degree_bound.bit_length() + 1
+    return range(0, n * width, width)
 
+
+def _pack(terms: dict, shifts: range) -> tuple:
+    """({packed exponents: integer numerator}, common denominator L)."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {
+        sum(map(lshift, m, shifts)): c.numerator * (den // c.denominator)
+        for m, c in terms.items()
+    }, den
+
+
+def _unpack(packed: dict, den: int, shifts: range) -> dict:
+    """The canonical {exponent tuple: Fraction} map of packed / den."""
+    mask = (1 << shifts.step) - 1
+    return {
+        tuple([(k >> s) & mask for s in shifts]): Fraction(v, den)
+        for k, v in packed.items()
+        if v
+    }
+
+
+def _convolve(a: dict, b: dict, out: dict | None = None) -> dict:
+    """Product of two packed term maps, added into out (a new dict if None).
+
+    Zero coefficients may remain in the result; _unpack drops them.
+    """
+    if out is None:
+        out = {}
+    get = out.get
+    if len(a) > len(b):
+        a, b = b, a
+    b = list(b.items())
+    for ka, ca in a.items():
+        for kb, cb in b:
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    return out

@@ -9,10 +9,6 @@ from hypothesis import strategies as st
 from polyaut.endo import (
     Endo,
     SquareMatrixPoly,
-    compose,
-    equals,
-    identity,
-    iterate,
     linear_combination,
     verify_inverse_pair,
 )
@@ -42,33 +38,33 @@ def test_constructor_validation():
 
 def test_identity_fixed_by_composition():
     g = shear2()
-    e = identity(2)
-    assert compose(g, e) == g
-    assert compose(e, g) == g
+    e = Endo.identity(2)
+    assert g.compose(e) == g
+    assert e.compose(g) == g
 
 
 def test_composition_order_is_right_to_left():
     x, y = V(2)
     f = Endo([x + 1, y])      # translate first coordinate
     g = Endo([2 * x, y])      # then double it
-    assert compose(g, f) == Endo([2 * x + 2, y])
-    assert compose(f, g) == Endo([2 * x + 1, y])
+    assert g.compose(f) == Endo([2 * x + 2, y])
+    assert f.compose(g) == Endo([2 * x + 1, y])
 
 
 def test_iterate_of_shear():
     g = shear2()
     x, y = V(2)
-    assert iterate(g, 0) == identity(2)
-    assert iterate(g, 1) == g
-    assert iterate(g, 3) == Endo([x + 3 * y**2, y])
+    assert g.iterate(0) == Endo.identity(2)
+    assert g.iterate(1) == g
+    assert g.iterate(3) == Endo([x + 3 * y**2, y])
     with pytest.raises(ValueError):
-        iterate(g, -1)
+        g.iterate(-1)
 
 
 def test_degree():
     x, y = V(2)
     assert shear2().degree() == 2
-    assert identity(2).degree() == 1
+    assert Endo.identity(2).degree() == 1
     assert Endo([Poly.constant(2, 3), Poly.zero(2)]).degree() == 0
     zero_map = Endo([Poly.zero(2), Poly.zero(2)])
     assert zero_map.degree() == NEG_INF
@@ -89,7 +85,7 @@ def test_jacobian_chain_rule_on_determinants():
     x, y = V(2)
     f = Endo([x + y**2, y + 1])
     g = Endo([x * y, y - x])
-    fg = compose(f, g)
+    fg = f.compose(g)
     lhs = fg.jacobian_det()
     rhs = f.jacobian_det().substitute(g.coords) * g.jacobian_det()
     assert lhs == rhs
@@ -124,7 +120,7 @@ def test_bareiss_matches_cofactor():
 
 def test_linear_combination():
     g = shear2()
-    h = identity(2)
+    h = Endo.identity(2)
     x, y = V(2)
     lc = linear_combination([Q(1, 2), Q(-1, 2)], [g, h])
     assert lc == Endo([Fraction(1, 2) * y**2, Poly.zero(2)])
@@ -143,8 +139,8 @@ def test_verify_inverse_pair():
 
 
 def test_equals_handles_dimension_mismatch():
-    assert not equals(identity(2), identity(3))
-    assert equals(identity(2), Endo(V(2)))
+    assert Endo.identity(2) != Endo.identity(3)
+    assert Endo.identity(2) == Endo(V(2))
 
 
 # ----------------------------------------------------------------------
@@ -186,16 +182,16 @@ def small_maps(n=2):
 @given(small_maps(), small_maps(), small_maps())
 @settings(deadline=None, max_examples=25)
 def test_composition_associative(f, g, h):
-    assert compose(compose(f, g), h) == compose(f, compose(g, h))
+    assert f.compose(g).compose(h) == f.compose(g.compose(h))
 
 
 @given(small_maps(), st.integers(min_value=0, max_value=3))
 @settings(deadline=None, max_examples=25)
 def test_iterate_is_repeated_composition(g, m):
-    expected = identity(2)
+    expected = Endo.identity(2)
     for _ in range(m):
-        expected = compose(g, expected)
-    assert iterate(g, m) == expected
+        expected = g.compose(expected)
+    assert g.iterate(m) == expected
 
 
 @given(small_maps(), small_maps())
@@ -205,6 +201,6 @@ def test_linear_combination_distributes_over_right_composition(f, g):
     # polynomial arguments lean on
     h = shear2()
     a, b = Q(2, 3), Q(-5)
-    lhs = compose(linear_combination([a, b], [f, g]), h)
-    rhs = linear_combination([a, b], [compose(f, h), compose(g, h)])
+    lhs = linear_combination([a, b], [f, g]).compose(h)
+    rhs = linear_combination([a, b], [f.compose(h), g.compose(h)])
     assert lhs == rhs

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import samplers
 from polyaut import locfin
-from polyaut.endo import Endo, identity, iterate, verify_inverse_pair
+from polyaut.endo import Endo, verify_inverse_pair
 from polyaut.linalg import DependenceFinder
 from polyaut.locfin import (
     InconsistencyError,
@@ -88,7 +88,7 @@ def test_unipoly_immutable():
 # certification: the pinned examples
 
 def test_certify_identity():
-    r = lf_certify(identity(3))
+    r = lf_certify(Endo.identity(3))
     assert r.certified
     assert r.minimal_polynomial == UniPoly([-1, 1])
     assert r.iterate_degrees == (1, 1)
@@ -188,7 +188,7 @@ def test_report_json():
 # vanishing and minimality
 
 def test_verify_vanishing():
-    assert verify_vanishing(identity(2), UniPoly([-1, 1]))
+    assert verify_vanishing(Endo.identity(2), UniPoly([-1, 1]))
     assert verify_vanishing(shear(), UniPoly([1, -2, 1]))
     assert not verify_vanishing(shear(), UniPoly([-2, 1]))  # T - 2
     # multiples of the minimal polynomial vanish too: (T-1)^3
@@ -196,7 +196,7 @@ def test_verify_vanishing():
 
 
 def test_minimality_certificate():
-    assert minimality_certificate(identity(2), UniPoly([-1, 1]))
+    assert minimality_certificate(Endo.identity(2), UniPoly([-1, 1]))
     assert minimality_certificate(shear(), UniPoly([1, -2, 1]))
     assert not verify_vanishing(shear(), UniPoly([-1, 1]))
     # (T-2)(T-3)(T-1) vanishes on diag(2,3) but is not minimal
@@ -206,7 +206,7 @@ def test_minimality_certificate():
 
 
 def test_certified_reports_self_consistent():
-    for g in (identity(2), shear(), diag23(), nagata()):
+    for g in (Endo.identity(2), shear(), diag23(), nagata()):
         r = lf_certify(g)
         assert verify_vanishing(g, r.minimal_polynomial)
         assert minimality_certificate(g, r.minimal_polynomial)
@@ -273,7 +273,7 @@ def test_reversal_duality_on_known_inverses():
 # conjugation
 
 def test_conjugate_by_identity():
-    assert conjugate(identity(2), identity(2), shear()) == shear()
+    assert conjugate(Endo.identity(2), Endo.identity(2), shear()) == shear()
 
 
 def test_conjugate_examples():
@@ -286,7 +286,7 @@ def test_conjugate_examples():
 
 def test_conjugate_rejects_bad_pair():
     with pytest.raises(ValueError):
-        conjugate(shear(), shear(), identity(2))
+        conjugate(shear(), shear(), Endo.identity(2))
 
 
 def test_conjugation_degree_bound_and_lf_preservation():
@@ -303,7 +303,7 @@ def test_conjugation_degree_bound_and_lf_preservation():
         conj = conjugate(phi, phi_inv, g)
         dp, dq = phi.degree(), phi_inv.degree()
         for m in range(9):
-            assert iterate(conj, m).degree() <= dp * iterate(g, m).degree() * dq
+            assert conj.iterate(m).degree() <= dp * g.iterate(m).degree() * dq
         r2 = lf_certify(conj, max_deg=dp * d * dq)
         assert r2.certified
 

@@ -124,22 +124,21 @@ def test_dimension_mismatch_rejected():
         Poly.variable(2, 1) + Poly.variable(3, 1)
 
 
-def test_integer_fast_path_matches_direct_convolution():
-    # force both code paths on the same product and compare
-    from polyaut import poly as P
+def direct_convolution(p, q):
+    """p * q by the schoolbook Fraction double loop over exponent tuples."""
+    out = {}
+    for ma, ca in p.terms.items():
+        for mb, cb in q.terms.items():
+            m = tuple(a + b for a, b in zip(ma, mb))
+            out[m] = out.get(m, 0) + ca * cb
+    return Poly(p.n, out)
 
+
+def test_kernel_product_matches_direct_convolution():
     x, y = V(2)
     a = (x + 2 * y + Fraction(1, 3)) ** 6
     b = (x - y * Fraction(5, 7) + 2) ** 6
-    old = P._INT_MUL_THRESHOLD
-    try:
-        P._INT_MUL_THRESHOLD = 1
-        fast = a * b
-        P._INT_MUL_THRESHOLD = 10**9
-        slow = a * b
-    finally:
-        P._INT_MUL_THRESHOLD = old
-    assert fast == slow
+    assert a * b == direct_convolution(a, b)
 
 
 # ----------------------------------------------------------------------
@@ -223,6 +222,99 @@ def test_substitute_argument_validation():
         (x + y).substitute([x])
     with pytest.raises(ValueError):
         (x + y).substitute([x, Poly.variable(3, 1)])
+
+
+def substitute_per_term(p, args):
+    """p.substitute(args) the old way: cache the powers of every argument,
+    then build and add up one polynomial per term."""
+    m = args[0].n
+    one = Poly.constant(m, 1)
+    powers = []
+    for k, q in enumerate(args):
+        top = max((mono[k] for mono in p.terms), default=0)
+        pw = [one]
+        for _ in range(top):
+            pw.append(pw[-1] * q)
+        powers.append(pw)
+    total = Poly.zero(m)
+    for mono, c in p.terms.items():
+        term = Poly.constant(m, c)
+        for k, e in enumerate(mono):
+            if e:
+                term = term * powers[k][e]
+        total = total + term
+    return total
+
+
+def substitution_args(n, m):
+    """n arguments in dimension m: sampled polynomials, zeros and constants."""
+    arg = st.one_of(
+        polys(m),
+        st.just(Poly.zero(m)),
+        coeffs.map(lambda c: Poly.constant(m, c)),
+    )
+    return st.lists(arg, min_size=n, max_size=n)
+
+
+@given(st.data(), st.integers(1, 3), st.integers(1, 3))
+@settings(deadline=None)
+def test_substitute_matches_per_term_reference(data, n, m):
+    p = data.draw(polys(n, max_terms=6))
+    args = data.draw(substitution_args(n, m))
+    assert p.substitute(args) == substitute_per_term(p, args)
+
+
+def test_dense_substitution_matches_per_term_reference():
+    # a dense cube times x*y: prefix products are shared and dropped at
+    # every depth, and the first prefix already has a factor at each one
+    x, y, z = V(3)
+    p = (x + 2 * y - Fraction(1, 3) * z + 1) ** 3 * x * y
+    args = [x * y + Fraction(1, 2), y - 2 * z, Fraction(3, 4) * x + z**2 + 3]
+    assert p.substitute(args) == substitute_per_term(p, args)
+
+
+@given(polys(3, max_terms=6), polys(3, max_terms=6))
+def test_product_matches_direct_convolution(p, q):
+    assert p * q == direct_convolution(p, q)
+
+
+@given(polys(3, max_terms=6), monos(3), coeffs)
+def test_one_term_factor_matches_kernel(p, mono, c):
+    monomial = Poly(3, {mono: c})
+    expected = direct_convolution(p, monomial)
+    assert p * monomial == expected
+    assert monomial * p == expected
+    assert p * Poly.constant(3, c) == direct_convolution(p, Poly.constant(3, c))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_exponents_on_a_packing_field_boundary(k):
+    # degree 2^k - 1 times degree 1 reaches 2^k, where the bit length of
+    # the degree bound, and with it the field width, goes up by one
+    x, y, z = V(3)
+    top = 2**k - 1
+    assert (x**top * x).terms == {(top + 1, 0, 0): 1}
+    a, b = x**top + y**top, x + z
+    assert (a * b).terms == {
+        (top + 1, 0, 0): 1, (top, 0, 1): 1, (1, top, 0): 1, (0, top, 1): 1,
+    }
+    for a, b in [(x**top * z + y, x * z + y**top), (x**top + z, x**top * y + 1)]:
+        assert a * b == direct_convolution(a, b)
+    p = x**top * y + z**top
+    args = [x + z, y, z]
+    assert p.substitute(args) == substitute_per_term(p, args)
+    assert (x**top * z).substitute([x, y, x]).terms == {(top + 1, 0, 0): 1}
+
+
+def test_exponents_at_255_survive_squaring():
+    x, y = V(2)
+    p = x**255 * y**255
+    assert (p * p).terms == {(510, 510): 1}
+    q = p + x**255 + 1
+    assert q * q == direct_convolution(q, q)
+    u, v = V(2)
+    assert p.substitute([u * v, v]) == Poly(2, {(255, 510): 1})
+    assert q.substitute([u + 1, v]) == substitute_per_term(q, [u + 1, v])
 
 
 @given(polys(2), polys(2), polys(2))

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyaut import cli, tame
-from polyaut.endo import Endo, identity, verify_inverse_pair
+from polyaut.endo import Endo, verify_inverse_pair
 from polyaut.poly import Poly
 from polyaut.tame import (
     Affine,
@@ -89,7 +89,7 @@ def test_gen_to_endo_values():
 
 
 def test_empty_word_is_identity():
-    assert word_to_endo(TameWord((), 3)) == identity(3)
+    assert word_to_endo(TameWord((), 3)) == Endo.identity(3)
 
 
 def test_word_composition_order():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from polyaut.endo import Endo, identity, verify_inverse_pair
+from polyaut.endo import Endo, verify_inverse_pair
 from polyaut.locfin import inverse_from_minpoly, lf_certify, UniPoly
 from polyaut.poly import Poly
 from polyaut.tame import Elementary
@@ -45,7 +45,7 @@ def test_obs2_shear():
 
 def test_obs2_trivial_g():
     w = witness_obs2(Elementary(1, Poly.zero(2)))
-    assert w.target == identity(2)
+    assert w.target == Endo.identity(2)
     assert verify_witness(w)
 
 
@@ -84,7 +84,7 @@ def test_obs3_constant_g():
 
 def test_obs3_zero_g():
     w = witness_obs3(Elementary(2, Poly.zero(2)))
-    assert w.conjugator == identity(2)
+    assert w.conjugator == Endo.identity(2)
     assert verify_witness(w)
 
 
@@ -178,7 +178,7 @@ def test_nagata_cross_module_consistency():
 def test_verify_rejects_tampered_diagonal():
     w = witness_obs2(E(1, "x2^2", 2))
     tampered = Witness(
-        w.kind, w.target, w.conjugator, w.conjugator_inverse, identity(2),
+        w.kind, w.target, w.conjugator, w.conjugator_inverse, Endo.identity(2),
         w.transcript,
     )
     assert not verify_witness(tampered)
