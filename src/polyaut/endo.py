@@ -9,9 +9,10 @@ canonical coordinate polynomials are identical.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 from typing import Sequence
 
-from .poly import NEG_INF, Poly, Rational
+from .poly import Poly, Rational, _convolve, _divide_packed, _pack, _shifts, _unpack
 
 
 class Endo:
@@ -141,54 +142,42 @@ class SquareMatrixPoly:
         return self.rows == other.rows
 
     def det(self) -> Poly:
-        """Exact symbolic determinant.
+        """Exact symbolic determinant: one fraction-free (Bareiss)
+        elimination over row-scaled, packed integer entries.
 
-        Cofactor expansion up to 4x4; beyond that, fraction-free (Bareiss)
-        row reduction whose divisions are exact polynomial divisions, so no
-        rational-function arithmetic is ever needed.
+        Each step forms m[k][k]*m[i][j] - m[i][k]*m[k][j] with the product
+        kernel and divides it exactly by the previous pivot; the result is
+        unpacked once over the product of the row scales.
         """
-        if self.size <= 4:
-            return _det_cofactor(self.rows, list(range(self.size)))
-        return _det_bareiss(self.rows)
-
-
-def _det_cofactor(rows, cols) -> Poly:
-    dim = rows[0][0].n
-    i = len(rows) - len(cols)  # expand along row i
-    if len(cols) == 1:
-        return rows[i][cols[0]]
-    total = Poly.zero(dim)
-    for k, c in enumerate(cols):
-        entry = rows[i][c]
-        if entry.is_zero:
-            continue
-        minor = _det_cofactor(rows, cols[:k] + cols[k + 1:])
-        term = entry * minor
-        total = total - term if k % 2 else total + term
-    return total
-
-
-def _det_bareiss(rows) -> Poly:
-    n = len(rows)
-    dim = rows[0][0].n
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = Poly.constant(dim, 1)
-    for k in range(n - 1):
-        piv = next((r for r in range(k, n) if not m[r][k].is_zero), None)
-        if piv is None:
-            return Poly.zero(dim)
-        if piv != k:
-            m[piv], m[k] = m[k], m[piv]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = num.divide_exact(prev)
-            m[i][k] = Poly.zero(dim)
-        prev = m[k][k]
-    d = m[n - 1][n - 1]
-    return -d if sign < 0 else d
+        rows = self.rows
+        size = self.size
+        dim = rows[0][0].n
+        # a numerator multiplies two minors: at most twice the rows' degree sum
+        bound = 2 * sum(max(max(map(sum, p.terms), default=0) for p in r) for r in rows)
+        shifts = _shifts(dim, bound)
+        scales = [lcm(*(c.denominator for p in r for c in p.terms.values()))
+                  for r in rows]
+        m = [[_pack(p.terms, shifts, lr)[0] for p in r] for r, lr in zip(rows, scales)]
+        scale = prod(scales)
+        for k in range(size - 1):
+            piv = next((r for r in range(k, size) if m[r][k]), None)
+            if piv is None:
+                return Poly.zero(dim)
+            if piv != k:
+                m[piv], m[k] = m[k], m[piv]
+                scale = -scale
+            mk = m[k]
+            for mi in m[k + 1:]:
+                neg = {key: -v for key, v in mi[k].items()}
+                for j in range(k + 1, size):
+                    num = _convolve(neg, mk[j], _convolve(mk[k], mi[j]))
+                    mi[j] = (
+                        _divide_packed(num, prev, shifts, bound)
+                        if k
+                        else {key: v for key, v in num.items() if v}
+                    )
+            prev = mk[k]
+        return Poly._raw(dim, _unpack(m[-1][-1], scale, shifts))
 
 
 # ----------------------------------------------------------------------

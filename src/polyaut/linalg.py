@@ -12,28 +12,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
+from .endo import SquareMatrixPoly
+from .poly import Poly
+
 
 def mat_det(rows) -> Fraction:
-    """Determinant by exact Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix is not square")
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[piv], m[col] = m[col], m[piv]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return det
+    """Determinant, by the fraction-free elimination of SquareMatrixPoly."""
+    entries = [[Poly.constant(1, x) for x in row] for row in rows]
+    return SquareMatrixPoly(entries).det().constant_term()
 
 
 def mat_inverse(rows):

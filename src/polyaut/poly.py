@@ -21,16 +21,18 @@ length of one product each operand becomes integer numerators over one
 common denominator, keyed by its exponent tuple packed into a single int
 (after Monagan and Pearce, CASC 2007), so the inner loop adds ints and
 multiplies ints.  The result is unpacked once, back into the canonical
-map above.  A one-term factor skips the kernel: it only shifts exponents
-and scales coefficients.  Packing lives only inside a product; `terms` stays the
-canonical {exponent tuple: Fraction} map.
+map above.  A one-term factor skips the kernel.  Exact division (in
+`Poly.divide_exact` and the determinant in `endo`) shares the packing:
+`_divide_packed`.  Packing lives only inside these kernels; `terms` stays
+the canonical {exponent tuple: Fraction} map.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import groupby
-from math import lcm
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from operator import add, lshift, mul
 from typing import Mapping, Sequence, Union
 
@@ -334,32 +336,22 @@ class Poly:
         return Poly._raw(m, _unpack(out, denominator, shifts))
 
     # ------------------------------------------------------------------
-    # exact division (used by fraction-free determinant elimination)
+    # exact division
 
     def divide_exact(self, divisor: "Poly") -> "Poly":
         """Exact quotient self / divisor; raises ValueError on any remainder."""
         self._check_same_dimension(divisor)
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = dict(self.terms)
-        dm = max(divisor.terms)
-        dc = divisor.terms[dm]
-        quot: dict = {}
-        while rem:
-            lm = max(rem)
-            qm = tuple(a - b for a, b in zip(lm, dm))
-            if any(e < 0 for e in qm):
-                raise ValueError("inexact polynomial division")
-            qc = rem[lm] / dc
-            quot[qm] = quot.get(qm, 0) + qc
-            for m, c in divisor.terms.items():
-                t = tuple(a + b for a, b in zip(qm, m))
-                s = rem.get(t, 0) - qc * c
-                if s:
-                    rem[t] = s
-                else:
-                    rem.pop(t, None)
-        return Poly._raw(self.n, {m: c for m, c in quot.items() if c})
+        da = self.total_degree()
+        shifts = _shifts(self.n, max(da, divisor.total_degree()))
+        a, la = _pack(self.terms, shifts)
+        b, lb = _pack(divisor.terms, shifts)
+        # by Gauss's lemma the quotient by a primitive divisor lies in Z[x]
+        content = gcd(*b.values())
+        b = {k: v // content for k, v in b.items()}
+        q = {k: v * lb for k, v in _divide_packed(a, b, shifts, da).items()}
+        return Poly._raw(self.n, _unpack(q, la * content, shifts))
 
 
 # ----------------------------------------------------------------------
@@ -378,9 +370,10 @@ def _shifts(n: int, degree_bound: int) -> range:
     return range(0, n * width, width)
 
 
-def _pack(terms: dict, shifts: range) -> tuple:
-    """({packed exponents: integer numerator}, common denominator L)."""
-    den = lcm(*(c.denominator for c in terms.values()))
+def _pack(terms: dict, shifts: range, den: int = 0) -> tuple:
+    """({packed exponents: integer numerator}, den), where den defaults to
+    the lcm of the coefficient denominators."""
+    den = den or lcm(*(c.denominator for c in terms.values()))
     return {
         sum(map(lshift, m, shifts)): c.numerator * (den // c.denominator)
         for m, c in terms.items()
@@ -413,3 +406,40 @@ def _convolve(a: dict, b: dict, out: dict | None = None) -> dict:
             k = ka + kb
             out[k] = get(k, 0) + ca * cb
     return out
+
+
+def _divide_packed(a: dict, b: dict, shifts: range, degree: int) -> dict:
+    """Exact quotient a / b over Z[x], b nonzero and free of zero terms.
+
+    a may hold zeros and is used up as the remainder; deg(a) <= degree,
+    the degree the shifts were made for.  Int order on keys is a monomial
+    order since fields never carry; a field's spare top bit shows a borrow
+    where b's leading key does not divide.  Raises ValueError on a nonzero
+    remainder or on a quotient term of degree above degree - deg(b), which
+    no exact quotient has and which could overflow a field."""
+    width = shifts.step
+    mask = (1 << width) - 1
+    high = sum(1 << (s + width - 1) for s in shifts)
+    lead = max(b)
+    lc = b[lead]
+    room = degree - max(sum((k >> s) & mask for s in shifts) for k in b)
+    rest = [(k, -v) for k, v in b.items() if k != lead]
+    heap = [-k for k in a]
+    heapify(heap)
+    q = {}
+    while heap:
+        k = -heappop(heap)
+        c = a.pop(k)
+        if c:
+            qk = ((k | high) - lead) ^ high
+            qc, r = divmod(c, lc)
+            if r or qk & high or sum((qk >> s) & mask for s in shifts) > room:
+                raise ValueError("inexact polynomial division")
+            q[qk] = qc
+            for kb, cb in rest:
+                t = qk + kb
+                v = a.get(t)
+                if v is None:
+                    heappush(heap, -t)
+                a[t] = (v or 0) + qc * cb
+    return q

@@ -203,34 +203,28 @@ def parse_map(text: str, n: int) -> Endo:
 # ----------------------------------------------------------------------
 # rendering
 
-def _render_monomial(mono) -> str:
-    parts = []
-    for i, e in enumerate(mono, start=1):
-        if e == 1:
-            parts.append(f"x{i}")
-        elif e > 1:
-            parts.append(f"x{i}^{e}")
-    return "*".join(parts)
-
-
 def render_poly(p: Poly) -> str:
     """Deterministic rendering; terms in descending lex order."""
     if p.is_zero:
         return "0"
+    names = [f"x{i}" for i in range(1, p.n + 1)]
     pieces = []
     for mono, coeff in p.sorted_terms():
-        mag = -coeff if coeff < 0 else coeff
-        mono_str = _render_monomial(mono)
-        if not mono_str:
-            body = str(mag)
-        elif mag == 1:
-            body = mono_str
+        num, den = coeff.numerator, coeff.denominator
+        if num < 0:
+            pieces.append(" - " if pieces else "-")
+            num = -num
+        elif pieces:
+            pieces.append(" + ")
+        # the magnitude as Fraction.__str__ prints it
+        mag = str(num) if den == 1 else f"{num}/{den}"
+        mono_str = "*".join(
+            [v if e == 1 else f"{v}^{e}" for v, e in zip(names, mono) if e]
+        )
+        if mono_str:
+            pieces.append(mono_str if num == den == 1 else f"{mag}*{mono_str}")
         else:
-            body = f"{mag}*{mono_str}"
-        if not pieces:
-            pieces.append(f"-{body}" if coeff < 0 else body)
-        else:
-            pieces.append(f" - {body}" if coeff < 0 else f" + {body}")
+            pieces.append(mag)
     return "".join(pieces)
 
 

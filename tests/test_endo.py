@@ -102,8 +102,29 @@ def test_bareiss_determinant_on_5x5():
     assert d == expected
 
 
+def test_bareiss_numerator_beyond_row_degrees():
+    # the step-1 numerator has degree 4 in x1, above the sum 3 of the row
+    # degrees, so the packed fields must have room for twice that sum
+    (x,) = V(1)
+    one, zero = Poly.constant(1, 1), Poly.zero(1)
+    rows = [[x, one, zero], [one, x, one], [zero, one, x]]
+    assert SquareMatrixPoly(rows).det() == x**3 - 2 * x
+
+
+def laplace_det(rows):
+    """Reference determinant: Laplace expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = Poly.zero(rows[0][0].n)
+    for k, entry in enumerate(rows[0]):
+        if entry:
+            minor = laplace_det([r[:k] + r[k + 1:] for r in rows[1:]])
+            total = total - entry * minor if k % 2 else total + entry * minor
+    return total
+
+
 def test_bareiss_matches_cofactor():
-    # same 4x4 matrix through both code paths
+    # the same 4x4 matrix through det() and a plain Laplace expansion
     x, y = V(2)
     one = Poly.constant(2, 1)
     rows = [
@@ -112,10 +133,48 @@ def test_bareiss_matches_cofactor():
         [Poly.zero(2), one, x, y],
         [y, Poly.zero(2), one, x * y],
     ]
-    from polyaut.endo import _det_bareiss, _det_cofactor
+    assert SquareMatrixPoly(rows).det() == laplace_det(rows)
 
-    assert _det_bareiss(rows) == _det_cofactor([list(r) for r in rows],
-                                               list(range(4)))
+
+@st.composite
+def square_matrices(draw):
+    """Matrices of size 1-6 over Q[x1..xn], n = 1-5, in one of five shapes:
+    random entries, a zero row, a zero first pivot (so elimination must
+    swap rows), all-constant entries, or a row that is a combination of
+    other rows (determinant 0)."""
+    size = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=5))
+    shape = draw(st.sampled_from(["random", "zero row", "zero pivot",
+                                  "constant", "rank deficient"]))
+    top = 0 if shape == "constant" else 2
+    mono = st.tuples(*([st.integers(min_value=0, max_value=top)] * n))
+    entry = st.dictionaries(mono, coeffs.filter(bool), max_size=3).map(
+        lambda d: Poly(n, d)
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=size, max_size=size),
+                         min_size=size, max_size=size))
+    i = draw(st.integers(min_value=0, max_value=size - 1))
+    others = [r for r in range(size) if r != i]
+    if shape == "zero pivot":
+        rows[0][0] = Poly.zero(n)
+    elif shape == "zero row" or (shape == "rank deficient" and not others):
+        rows[i] = [Poly.zero(n)] * size
+    elif shape == "rank deficient":
+        # row i becomes a*row_j + b*row_l for rows j, l other than i
+        j, l = draw(st.sampled_from(others)), draw(st.sampled_from(others))
+        a, b = draw(entry), draw(entry)
+        rows[i] = [a * rows[j][c] + b * rows[l][c] for c in range(size)]
+    return shape, rows
+
+
+@given(square_matrices())
+@settings(deadline=None, max_examples=60)
+def test_det_matches_laplace_expansion(case):
+    shape, rows = case
+    d = SquareMatrixPoly(rows).det()
+    assert d == laplace_det(rows)
+    if shape in ("zero row", "rank deficient"):
+        assert d.is_zero
 
 
 def test_linear_combination():

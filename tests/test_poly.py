@@ -354,3 +354,33 @@ def test_divide_exact_inverts_multiplication(p, q):
     if q.is_zero:
         return
     assert (p * q).divide_exact(q) == p
+
+
+def test_divide_exact_by_divisor_with_rational_content():
+    x, y = V(2)
+    b = (Fraction(3, 7) * x * y - Fraction(5, 2)) * 6
+    p = Fraction(2, 5) * x**2 - Fraction(7, 3) * y + 1
+    assert (p * b).divide_exact(b) == p
+    assert b.divide_exact(b) == 1
+
+
+def test_divide_exact_rejects_remainder_beyond_dividend_degree():
+    # long division keeps trading x2 for x1^2, raising x1's exponent past
+    # the fields sized for the dividend's degree
+    x1, x2 = V(2)
+    with pytest.raises(ValueError):
+        (x2**3).divide_exact(x2 - x1**2)
+    # unguarded, the overflowing fields give the quotient x1^2*x2 + x2^2 + 1
+    with pytest.raises(ValueError):
+        (x2**3 - x1**2).divide_exact(x2 - x1**2)
+
+
+def test_divide_exact_rejects_divisor_of_higher_degree():
+    x, y = V(2)
+    with pytest.raises(ValueError):
+        (x + y).divide_exact(x * y + 1)
+
+
+def test_divide_exact_of_zero_is_zero():
+    x, y = V(2)
+    assert Poly.zero(2).divide_exact(x * y - 3) == Poly.zero(2)
