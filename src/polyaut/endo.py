@@ -75,17 +75,11 @@ class Endo:
         return Endo([p.substitute(other.coords) for p in self.coords])
 
     def iterate(self, m: int) -> "Endo":
-        """The m-th iterate; iterate(0) is the identity.
-
-        Sequential composition on purpose: callers that need the whole
-        prefix of iterates get them at the same total cost.
-        """
+        """The m-th iterate; iterate(0) is the identity.  Taken from the
+        orbit, so the earlier iterates are kept on the map too."""
         if not isinstance(m, int) or m < 0:
             raise ValueError(f"iteration count must be a non-negative integer, got {m!r}")
-        result = Endo.identity(self.n)
-        for _ in range(m):
-            result = self.compose(result)
-        return result
+        return self.orbit(m)[m]
 
     def orbit(self, k: int) -> tuple:
         """The iterates (identity, self, ..., self^{ok}).
@@ -207,8 +201,16 @@ def linear_combination(coeffs: Sequence[Rational], maps: Sequence[Endo]) -> Endo
 
 
 def verify_inverse_pair(f: Endo, g: Endo) -> bool:
-    """True iff f o g and g o f are both the identity."""
+    """True iff f o g and g o f are both the identity.
+
+    One composition decides, with the lower-degree map outside.  Proof
+    (van den Essen, Polynomial Automorphisms and the Jacobian Conjecture,
+    2000): f o g = id gives phi_g o phi_f = id on k[x], where
+    phi_h(p) = p o h, so phi_g is surjective; a surjective endomorphism of
+    a Noetherian ring is injective, so phi_g has inverse phi_f and
+    g o f = id.
+    """
     if f.n != g.n:
         raise ValueError(f"dimension mismatch: {f.n} vs {g.n}")
-    ident = Endo.identity(f.n)
-    return f.compose(g) == ident and g.compose(f) == ident
+    outer, inner = sorted((f, g), key=Endo.degree)  # stable: a tie keeps f outside
+    return outer.compose(inner).is_identity()

@@ -40,7 +40,8 @@ minimality_certificate uses that exact elimination alone.
 
 Every iterate is taken from the map's orbit (Endo.orbit), so
 certification, the vanishing and minimality checks and inversion compose
-each iterate once per map object.  No certificate rests on an assert:
+each iterate once per map object, and inversion's one inverse-pair check
+also certifies that mu vanishes.  No certificate rests on an assert:
 every failed check raises InconsistencyError.
 """
 
@@ -216,45 +217,31 @@ def _compose_leading(g: Endo, prev: _IterState):
     top forms.  Returns None when the candidate tops cancel (then the true
     degree is smaller and only full composition can tell).
     """
-    n = g.n
     ambient = prev.tops[0].n
     degrees, tops = [], []
     for gi in g.coords:
-        best = NEG_INF
-        for mono in gi.terms:
+        best, top = NEG_INF, []  # the terms of maximal degree under prev
+        for mono, c in gi.terms.items():
             d = 0
-            for j, a in enumerate(mono):
+            for a, dj in zip(mono, prev.degrees):
                 if a == 0:
                     continue
-                dj = prev.degrees[j]
                 if dj == NEG_INF:
                     break  # factor is zero, monomial dies
                 d += a * dj
             else:
                 if d > best:
-                    best = d
-        if best == NEG_INF:
-            degrees.append(NEG_INF)
-            tops.append(Poly.zero(ambient))
-            continue
+                    best, top = d, [(mono, c)]
+                elif d == best:
+                    top.append((mono, c))
         acc = Poly.zero(ambient)
-        for mono, c in gi.terms.items():
-            d = 0
+        for mono, c in top:
+            term = Poly.constant(ambient, c)
             for j, a in enumerate(mono):
-                if a == 0:
-                    continue
-                dj = prev.degrees[j]
-                if dj == NEG_INF:
-                    break
-                d += a * dj
-            else:
-                if d == best:
-                    term = Poly.constant(ambient, c)
-                    for j, a in enumerate(mono):
-                        if a:
-                            term = term * prev.tops[j] ** a
-                    acc = acc + term
-        if acc.is_zero:
+                if a:
+                    term = term * prev.tops[j] ** a
+            acc = acc + term
+        if top and acc.is_zero:
             return None
         degrees.append(best)
         tops.append(acc)
@@ -448,15 +435,21 @@ def inverse_from_minpoly(g: Endo, mu: UniPoly) -> Endo:
     From sum a_m g^{om} = 0, composing with g^{-1} on the right (pointwise
     linear combinations distribute over right composition) gives
     g^{-1} = -(1/a_0) * sum_{m>=1} a_m g^{o(m-1)}.
+
+    The same distributivity gives inv o g = -(1/a_0) sum_{m>=1} a_m g^{om},
+    the identity exactly when mu(g) = 0, so the one verify_inverse_pair
+    check certifies the vanishing too: a mu that does not vanish raises its
+    InconsistencyError.  Only a mu with mu(0) = 0 or degree 0, which gives
+    no inverse, is checked for vanishing on its own.
     """
-    if not verify_vanishing(g, mu):
-        raise ValueError("the given polynomial does not vanish on the map")
-    if mu.coeffs[0] == 0:
+    a0 = mu.coeffs[0]
+    if a0 == 0 or mu.degree == 0:
+        if not verify_vanishing(g, mu):
+            raise ValueError("the given polynomial does not vanish on the map")
         raise InconsistencyError(
             "vanishing polynomial has zero constant term; for an automorphism "
             "the minimal polynomial never does, so this map cannot be one"
         )
-    a0 = mu.coeffs[0]
     inv = linear_combination(
         [-(c / a0) for c in mu.coeffs[1:]], g.orbit(mu.degree - 1)
     )

@@ -11,9 +11,9 @@ into transvections and diagonals by Gaussian elimination, then one left to
 right scan keeps the product D of the diagonals seen so far and pushes each
 elementary through it once, using the exact rewriting D o E = E~ o D.  The
 rewriting rule is taken from the composition identity itself: E~ adds
-g~ = c_i * g(X_1/c_1, ..., X_n/c_n) to slot i.  Every push is checked by
-composing both sides as maps, and a failed check raises InconsistencyError,
-so it holds under python -O too.
+g~ = c_i * g(X_1/c_1, ..., X_n/c_n) to slot i.  Every push is checked
+exactly in slot i, the only coordinate where the two sides can differ, and
+a failed check raises InconsistencyError, so it holds under python -O too.
 """
 
 from __future__ import annotations
@@ -332,17 +332,20 @@ def push_diagonal(d: Diagonal, e: Elementary) -> tuple:
     D contributes the factor c_i and E~'s addend must absorb it after the
     variables have already been scaled.  g~ is computed term by term; the
     composition identity D o E = E~ o D is the contract, checked on every
-    call by composing both sides as maps, and InconsistencyError is raised
-    if it fails.
+    call, and InconsistencyError is raised if it fails.  Off slot i both
+    sides are c_l * X_l by the shapes of Diagonal and Elementary, so the
+    identity holds exactly when slot i agrees:
+    g~(c_1 X_1, ..., c_n X_n) == c_i * g, one substitution of monomials.
     """
     if d.n != e.n:
         raise ValueError(f"dimension mismatch: {d.n} vs {e.n}")
-    e_new = Elementary(e.i, _scaled_addend(e.g, d.c, e.i))
-    if gen_to_endo(d).compose(gen_to_endo(e)) != gen_to_endo(e_new).compose(
-        gen_to_endo(d)
-    ):
+    g_new = _scaled_addend(e.g, d.c, e.i)
+    # c_l * X_l as one-term polynomials: every c_l is a nonzero Fraction
+    scaled = [Poly._raw(d.n, {tuple(int(k == l) for k in range(d.n)): c})
+              for l, c in enumerate(d.c)]
+    if g_new.substitute(scaled) != e.g * d.c[e.i - 1]:
         raise InconsistencyError("push identity D o E = E~ o D failed")
-    return e_new, d
+    return Elementary(e.i, g_new), d
 
 
 def _merge_diagonals(d1: Diagonal, d2: Diagonal) -> Diagonal:

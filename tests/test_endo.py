@@ -1,11 +1,13 @@
 """Composition, iteration, and Jacobians of polynomial maps."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import samplers
 from polyaut.endo import (
     Endo,
     SquareMatrixPoly,
@@ -13,6 +15,7 @@ from polyaut.endo import (
     verify_inverse_pair,
 )
 from polyaut.poly import NEG_INF, Poly
+from polyaut.tame import invert_word, word_to_endo
 
 Q = Fraction
 
@@ -195,6 +198,75 @@ def test_verify_inverse_pair():
     ginv = Endo([x - y**2, y])
     assert verify_inverse_pair(g, ginv)
     assert not verify_inverse_pair(g, g)
+
+
+def _two_sided_reference(f, g):
+    # the inverse-pair check as first written: both compositions
+    ident = Endo.identity(f.n)
+    return f.compose(g) == ident and g.compose(f) == ident
+
+
+def _triangular_inverse(f):
+    # x_i -> a_i x_i + t_i(x_{i+1}, ..., x_n) is undone from the last
+    # coordinate up: y_i = (x_i - t_i(y_{i+1}, ..., y_n)) / a_i
+    xs = V(f.n)
+    inv = list(xs)
+    for i in reversed(range(f.n)):
+        a = f.coords[i].terms[tuple(int(j == i) for j in range(f.n))]
+        tail = f.coords[i] - a * xs[i]
+        inv[i] = (xs[i] - tail.substitute(inv)) * (1 / a)
+    return Endo(inv)
+
+
+def _sampled_pair(source, rng):
+    n = rng.randint(1, 3)
+    if source == "triangular":
+        f = samplers.random_triangular(rng, n, scalars=samplers.DIAGONAL_POOL)
+        return f, _triangular_inverse(f)
+    w = samplers.random_word(rng, n, 3)
+    return word_to_endo(w), word_to_endo(invert_word(w))
+
+
+@given(
+    st.sampled_from(("triangular", "word")),
+    st.sampled_from(("inverse", "tampered", "singular")),
+    st.integers(min_value=0, max_value=2**32),
+)
+@settings(deadline=None, max_examples=80)
+def test_one_sided_check_matches_two_sided_reference(source, partner, seed):
+    rng = random.Random(seed)
+    f, g = _sampled_pair(source, rng)
+    coords = list(g.coords)
+    j = rng.randrange(f.n)
+    if partner == "tampered":
+        # perturb one coefficient, or add a term where there is none
+        mono = rng.choice(sorted(coords[j].terms) or [(0,) * f.n])
+        coords[j] = coords[j] + Poly(f.n, {mono: rng.choice(samplers.COEFF_POOL)})
+    elif partner == "singular":
+        coords[j] = Poly.zero(f.n)  # a constant coordinate: det J = 0
+    g = Endo(coords)
+    expected = partner == "inverse"
+    assert _two_sided_reference(f, g) == expected
+    assert verify_inverse_pair(f, g) == expected
+    assert verify_inverse_pair(g, f) == expected
+
+
+def test_inverse_pair_composes_the_lower_degree_map_outside(monkeypatch):
+    x, y, z = V(3)
+    f = Endo([x + y**2, y + z**2, z])
+    g = Endo([x - (y - z**2) ** 2, y - z**2, z])
+    t = Endo([x, y + 1, z])
+    t_inv = Endo([x, y - 1, z])
+    outer = []
+    compose = Endo.compose
+    monkeypatch.setattr(
+        Endo, "compose", lambda self, other: outer.append(self) or compose(self, other)
+    )
+    assert verify_inverse_pair(f, g) and verify_inverse_pair(g, f)
+    assert verify_inverse_pair(t_inv, t)
+    assert outer == [f, f, t_inv]  # degree 2 outside degree 4; a tie keeps f
+    with pytest.raises(ValueError):
+        verify_inverse_pair(Endo.identity(2), Endo.identity(3))
 
 
 def test_equals_handles_dimension_mismatch():

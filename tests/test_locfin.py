@@ -242,6 +242,52 @@ def test_invert_flags_zero_constant_term():
         inverse_from_minpoly(g, UniPoly([0, 1]))
 
 
+@pytest.mark.parametrize(
+    "g, coeffs, error, message",
+    [
+        # no inverse can be read off: the vanishing is checked on its own
+        (shear(), [3], ValueError, "does not vanish"),
+        (shear(), [0, 1], ValueError, "does not vanish"),
+        (Endo([Poly.zero(1)]), [0, 1], InconsistencyError, "zero constant term"),
+        # mu(0) != 0: the inverse-pair check catches a mu that does not vanish
+        (shear(), [-2, 1], InconsistencyError, "inverse read off"),
+        (nagata(), [1, -3, 3, 1], InconsistencyError, "inverse read off"),
+    ],
+)
+def test_invert_error_contract(g, coeffs, error, message):
+    with pytest.raises(error, match=message) as info:
+        inverse_from_minpoly(g, UniPoly(coeffs))
+    if error is ValueError:
+        assert not isinstance(info.value, InconsistencyError)
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    [
+        ("x1 + x2^2, x2", 2),
+        ("2*x1, 3*x2", 2),
+        ("x1 + x2^2, x2 + x3^2, x3", 3),
+        ("-x1 + x2^3, 1/2*x2 + 1", 2),
+    ],
+)
+def test_invert_composes_once_and_skips_vanishing(monkeypatch, text, n):
+    # the one inverse-pair check implies mu(g) = 0 when mu(0) != 0
+    g = parse_map(text, n)
+    mu = lf_certify(g).minimal_polynomial
+    assert mu.coeffs[0] != 0
+    calls = []
+    compose = Endo.compose
+    monkeypatch.setattr(
+        Endo, "compose", lambda self, other: calls.append("compose") or compose(self, other)
+    )
+    monkeypatch.setattr(
+        locfin, "verify_vanishing", lambda g, p: calls.append("vanishing") or True
+    )
+    inv = inverse_from_minpoly(g, mu)
+    assert calls == ["compose"]
+    assert g.compose(inv) == inv.compose(g) == Endo.identity(n)
+
+
 # ----------------------------------------------------------------------
 # reversal
 
@@ -437,6 +483,32 @@ def test_certificates_hold_under_python_optimize():
     ]
 
 
+@given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2**32))
+@settings(deadline=None, max_examples=80)
+def test_compose_leading_matches_full_composition(n, seed):
+    # the prediction is the degrees and top forms of g o h, and None
+    # exactly when some coordinate's candidate tops cancel
+    rng = random.Random(seed)
+    g, h = (Endo([samplers.random_poly(rng, n, 3, 3) for _ in range(n)]) for _ in "gh")
+    state = locfin._IterState.from_endo(h)
+    truth = locfin._IterState.from_endo(g.compose(h))
+    predicted = [
+        max((sum(a * d for a, d in zip(mono, state.degrees) if a) for mono in p.terms),
+            default=NEG_INF)
+        for p in g.coords
+    ]
+    lead = locfin._compose_leading(g, state)
+    assert (lead is None) == any(t < d for t, d in zip(truth.degrees, predicted))
+    if lead is not None:
+        assert lead == (truth.degrees, truth.tops)
+
+
+def test_compose_leading_reports_cancelling_tops():
+    g = parse_map("x1 - x2, x2", 2)
+    h = parse_map("x1 + x2^2, x2^2 + 1", 2)
+    assert locfin._compose_leading(g, locfin._IterState.from_endo(h)) is None
+
+
 def test_degree_certificate_mismatch_raises(monkeypatch):
     # top forms that predict the wrong degree must not pass silently:
     # here every iterate of the shear is claimed to stay linear
@@ -468,12 +540,12 @@ def test_each_iterate_is_composed_once_per_map(monkeypatch):
     assert mu.degree == 4
     assert len(calls) == 4  # g^1 ... g^4, each once
     inverse_from_minpoly(g, mu)
-    assert len(calls) == 4 + 2  # plus g o inv and inv o g
+    assert len(calls) == 4 + 1  # plus one of g o inv, inv o g
     assert verify_vanishing(g, mu)
     assert minimality_certificate(g, mu)
-    assert len(calls) == 6
+    assert len(calls) == 5
     # the orbit lives on the map object, not in a module-level cache
     h = parse_map("x1 + x2^2, x2 + x3^2, x3", 3)
     assert h == g
     lf_certify(h)
-    assert len(calls) == 10
+    assert len(calls) == 9

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from polyaut import cli, tame
 from polyaut.endo import Endo, verify_inverse_pair
+from polyaut.locfin import InconsistencyError
 from polyaut.poly import Poly
 from polyaut.tame import (
     Affine,
@@ -30,7 +31,13 @@ from polyaut.tame import (
     word_to_endo,
 )
 from polyaut.textio import parse_map, parse_poly
-from samplers import random_affine, random_diagonal, random_elementary, random_word
+from samplers import (
+    random_affine,
+    random_diagonal,
+    random_elementary,
+    random_poly,
+    random_word,
+)
 
 Q = Fraction
 
@@ -193,6 +200,45 @@ def test_push_random_composition_identity():
             assert gen_to_endo(d).compose(gen_to_endo(e)) == gen_to_endo(
                 e2
             ).compose(gen_to_endo(d2))
+
+
+def _full_map_push_check(d, e, e_new):
+    # the push check as first written: D o E == E~ o D as whole maps
+    return gen_to_endo(d).compose(gen_to_endo(e)) == gen_to_endo(e_new).compose(
+        gen_to_endo(d)
+    )
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+@settings(deadline=None, max_examples=80)
+def test_slot_check_matches_full_map_check(seed):
+    # a sampled delta (zero about a third of the time) is added to g~
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    d, e = random_diagonal(rng, n), random_elementary(rng, n, 3)
+    delta = random_poly(rng, n, 2, 2, avoid=(e.i,))
+    real = tame._scaled_addend
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tame, "_scaled_addend", lambda g, c, i: real(g, c, i) + delta)
+        try:
+            push_diagonal(d, e)
+            raised = False
+        except InconsistencyError:
+            raised = True
+    e_new = Elementary(e.i, real(e.g, d.c, e.i) + delta)
+    assert raised == (not _full_map_push_check(d, e, e_new)) == (not delta.is_zero)
+
+
+def test_push_composes_no_maps(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("push_diagonal built or composed a map")
+
+    monkeypatch.setattr(tame, "gen_to_endo", refuse)
+    monkeypatch.setattr(Endo, "compose", refuse)
+    rng = random.Random(31)
+    for n in (1, 2, 3, 4):
+        for _ in range(10):
+            push_diagonal(random_diagonal(rng, n), random_elementary(rng, n, 3))
 
 
 # ----------------------------------------------------------------------
