@@ -1,103 +1,78 @@
 """Exact computation with polynomial automorphisms of affine n-space
 over the rationals: sparse polynomial arithmetic, endomorphism algebra,
 locally-finite certification with minimal polynomials, tame normal forms,
-and conjugation witnesses for the normal closure of the diagonal group."""
+and conjugation witnesses for the normal closure of the diagonal group.
 
-from .endo import (
-    Endo,
-    SquareMatrixPoly,
-    linear_combination,
-    verify_inverse_pair,
-)
-from .locfin import (
-    InconsistencyError,
-    LFReport,
-    UniPoly,
-    conjugate,
-    inverse_from_minpoly,
-    lf_certify,
-    minimality_certificate,
-    reversal,
-    verify_vanishing,
-)
-from .poly import NEG_INF, Poly
-from .tame import (
-    Affine,
-    Diagonal,
-    Elementary,
-    NormalForm,
-    TameWord,
-    affine_to_word,
-    gen_to_endo,
-    generator_determinant,
-    invert_generator,
-    invert_word,
-    normal_form,
-    push_diagonal,
-    word_to_endo,
-)
-from .textio import (
-    MapDocument,
-    ParseError,
-    parse_map,
-    parse_poly,
-    render_map,
-    render_poly,
-)
-from .witness import (
-    VerificationError,
-    Witness,
-    nagata,
-    nagata_inverse,
-    verify_witness,
-    witness_obs2,
-    witness_obs3,
-    witness_obs4,
-)
+The names below, and the submodules themselves, are imported on first
+use (PEP 562): `import polyaut` loads no submodule, and a command line
+call loads only the layers its subcommand needs.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "NEG_INF",
-    "Poly",
-    "Endo",
-    "SquareMatrixPoly",
-    "linear_combination",
-    "verify_inverse_pair",
-    "ParseError",
-    "MapDocument",
-    "parse_poly",
-    "parse_map",
-    "render_poly",
-    "render_map",
-    "UniPoly",
-    "LFReport",
-    "InconsistencyError",
-    "lf_certify",
-    "verify_vanishing",
-    "minimality_certificate",
-    "inverse_from_minpoly",
-    "reversal",
-    "conjugate",
-    "Diagonal",
-    "Elementary",
-    "Affine",
-    "TameWord",
-    "NormalForm",
-    "gen_to_endo",
-    "word_to_endo",
-    "generator_determinant",
-    "invert_generator",
-    "invert_word",
-    "affine_to_word",
-    "push_diagonal",
-    "normal_form",
-    "Witness",
-    "VerificationError",
-    "witness_obs2",
-    "witness_obs3",
-    "witness_obs4",
-    "nagata",
-    "nagata_inverse",
-    "verify_witness",
-]
+# each exported name and the submodule it lives in
+_EXPORTS = {
+    "NEG_INF": "poly",
+    "Poly": "poly",
+    "Endo": "endo",
+    "SquareMatrixPoly": "endo",
+    "linear_combination": "endo",
+    "verify_inverse_pair": "endo",
+    "ParseError": "textio",
+    "MapDocument": "textio",
+    "parse_poly": "textio",
+    "parse_map": "textio",
+    "render_poly": "textio",
+    "render_map": "textio",
+    "UniPoly": "locfin",
+    "LFReport": "locfin",
+    "InconsistencyError": "poly",
+    "lf_certify": "locfin",
+    "verify_vanishing": "locfin",
+    "minimality_certificate": "locfin",
+    "inverse_from_minpoly": "locfin",
+    "reversal": "locfin",
+    "conjugate": "locfin",
+    "Diagonal": "tame",
+    "Elementary": "tame",
+    "Affine": "tame",
+    "TameWord": "tame",
+    "NormalForm": "tame",
+    "gen_to_endo": "tame",
+    "word_to_endo": "tame",
+    "generator_determinant": "tame",
+    "invert_generator": "tame",
+    "invert_word": "tame",
+    "affine_to_word": "tame",
+    "push_diagonal": "tame",
+    "normal_form": "tame",
+    "Witness": "witness",
+    "VerificationError": "poly",
+    "witness_obs2": "witness",
+    "witness_obs3": "witness",
+    "witness_obs4": "witness",
+    "nagata": "witness",
+    "nagata_inverse": "witness",
+    "verify_witness": "witness",
+}
+
+_SUBMODULES = ("poly", "endo", "linalg", "textio", "locfin", "tame", "witness", "cli")
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    if name in _SUBMODULES:
+        # importing a submodule also binds it on this package
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS) | set(_SUBMODULES))

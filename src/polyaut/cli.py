@@ -4,27 +4,23 @@ Exit codes: 0 success/verified, 1 verification false or inconsistent data,
 2 certification budget exhausted (Unknown verdict), 3 unusable input
 (syntax, dimensions, flags, files).  Output on stdout is byte-deterministic
 for identical inputs; diagnostics go to stderr.
+
+Every call is a fresh interpreter, so this module loads at start only what
+all subcommands share (textio, which brings in poly and endo).  Each
+subcommand imports its own layer when it runs: locfin for lf-certify and
+minpoly-invert, tame for normal-form, witness for the witness commands,
+and json only where a JSON document is read or written.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from .endo import Endo
-from .locfin import InconsistencyError, inverse_from_minpoly, lf_certify
-from .poly import Poly
-from .tame import TameWord, normal_form, word_to_endo
+from .poly import InconsistencyError, Poly, VerificationError
 from .textio import MapDocument, ParseError, parse_map, render_map, render_poly
-from .witness import (
-    VerificationError,
-    witness_obs2,
-    witness_obs3,
-    witness_obs4,
-)
 
 
 class _UsageError(Exception):
@@ -39,14 +35,21 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _emit_json(doc: dict):
+    import json
+
     print(json.dumps(doc, indent=2))
+
+
+def _read_text(path: str) -> str:
+    with open(path) as fh:
+        return fh.read()
 
 
 # ----------------------------------------------------------------------
 # input plumbing
 
 def _load_map_from_file(path: str, n_flag) -> Endo:
-    doc = MapDocument.from_json(Path(path).read_text())
+    doc = MapDocument.from_json(_read_text(path))
     if n_flag is not None and n_flag != doc.n:
         raise ValueError(f"--n {n_flag} contradicts file dimension {doc.n}")
     return doc.to_endo()
@@ -134,6 +137,8 @@ def _print_report_text(report):
 
 
 def _cmd_lf_certify(args) -> int:
+    from .locfin import lf_certify
+
     g = _load_single_map(args)
     report = lf_certify(g, max_iter=args.budget_iter, max_deg=args.budget_deg)
     if args.format == "json":
@@ -144,6 +149,8 @@ def _cmd_lf_certify(args) -> int:
 
 
 def _cmd_minpoly_invert(args) -> int:
+    from .locfin import inverse_from_minpoly, lf_certify
+
     g = _load_single_map(args)
     report = lf_certify(g, max_iter=args.budget_iter, max_deg=args.budget_deg)
     if not report.certified:
@@ -165,7 +172,11 @@ def _cmd_minpoly_invert(args) -> int:
 
 
 def _cmd_normal_form(args) -> int:
-    word = TameWord.from_json(Path(args.file).read_text())
+    import json
+
+    from .tame import TameWord, normal_form, word_to_endo
+
+    word = TameWord.from_json(_read_text(args.file))
     nf = normal_form(word)
     ok = word_to_endo(nf.to_word()) == word_to_endo(word)
     if args.format == "json":
@@ -189,16 +200,22 @@ def _witness_output(w, fmt: str) -> int:
 
 
 def _cmd_witness_obs2(args) -> int:
+    from .witness import witness_obs2
+
     e = _as_elementary(_load_single_map(args))
     return _witness_output(witness_obs2(e), args.format)
 
 
 def _cmd_witness_obs3(args) -> int:
+    from .witness import witness_obs3
+
     e = _as_elementary(_load_single_map(args))
     return _witness_output(witness_obs3(e, a=args.a, j=args.j), args.format)
 
 
 def _cmd_nagata_verify(args) -> int:
+    from .witness import witness_obs4
+
     return _witness_output(witness_obs4(), args.format)
 
 

@@ -178,7 +178,12 @@ class SquareMatrixPoly:
 # module-level operations
 
 def linear_combination(coeffs: Sequence[Rational], maps: Sequence[Endo]) -> Endo:
-    """Coordinatewise rational linear combination sum_k coeffs[k] * maps[k]."""
+    """Coordinatewise rational linear combination sum_k coeffs[k] * maps[k].
+
+    Each coordinate is summed in integers over one common denominator,
+    the lcm of c.denominator * lcm(denominators of the map's coefficients)
+    over the maps with c != 0; only the nonzero sums become Fractions.
+    """
     coeffs = [Fraction(c) for c in coeffs]
     maps = list(maps)
     if not maps or len(coeffs) != len(maps):
@@ -190,13 +195,20 @@ def linear_combination(coeffs: Sequence[Rational], maps: Sequence[Endo]) -> Endo
         raise ValueError("maps have mixed dimensions")
     coords = []
     for i in range(n):
-        acc: dict = {}
-        get = acc.get
+        parts = []
         for c, g in zip(coeffs, maps):
             if c:
-                for mono, v in g.coords[i].terms.items():
-                    acc[mono] = get(mono, 0) + c * v
-        coords.append(Poly._raw(n, {m: v for m, v in acc.items() if v}))
+                terms = g.coords[i].terms
+                parts.append((c, terms, lcm(*(v.denominator for v in terms.values()))))
+        den = lcm(*(c.denominator * lt for c, _, lt in parts))
+        acc: dict = {}
+        get = acc.get
+        for c, terms, lt in parts:
+            # c * v over den, with v = v.numerator * (lt // v.denominator) / lt
+            scale = c.numerator * (den // (c.denominator * lt))
+            for mono, v in terms.items():
+                acc[mono] = get(mono, 0) + scale * (lt // v.denominator) * v.numerator
+        coords.append(Poly._raw(n, {m: Fraction(v, den) for m, v in acc.items() if v}))
     return Endo(coords)
 
 

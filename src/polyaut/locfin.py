@@ -47,10 +47,8 @@ every failed check raises InconsistencyError.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .endo import Endo, linear_combination, verify_inverse_pair
 from .linalg import (
@@ -59,11 +57,7 @@ from .linalg import (
     UnluckyPrime,
     rational_reconstruction,
 )
-from .poly import NEG_INF, Poly, Rational
-
-
-class InconsistencyError(ValueError):
-    """The data contradicts the claim it was supposed to certify."""
+from .poly import NEG_INF, InconsistencyError, Poly, Rational, Record
 
 
 class UniPoly:
@@ -144,20 +138,18 @@ class UniPoly:
         return cls([Fraction(s) for s in strings])
 
 
-@dataclass(frozen=True)
-class LFReport:
+class LFReport(Record):
     """Outcome of lf_certify.
 
     verdict is "CertifiedLF" or "Unknown"; Unknown is never a claim of
     non-local-finiteness, only budget exhaustion with the degree sequence
-    as evidence.  iterate_degrees[m] = deg(G^{om}) for every iterate
-    examined (NEG_INF for a zero iterate).
+    as evidence.  minimal_polynomial is a UniPoly, or None when Unknown.
+    iterate_degrees[m] = deg(G^{om}) for every iterate examined (NEG_INF
+    for a zero iterate); budget_used is (iterates computed, max degree
+    encountered).
     """
 
-    verdict: str
-    minimal_polynomial: Optional[UniPoly]
-    iterate_degrees: tuple
-    budget_used: tuple  # (iterates computed, max degree encountered)
+    __slots__ = ("verdict", "minimal_polynomial", "iterate_degrees", "budget_used")
 
     @property
     def certified(self) -> bool:
@@ -178,6 +170,8 @@ class LFReport:
         }
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_json_dict())
 
 

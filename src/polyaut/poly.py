@@ -25,6 +25,10 @@ map above.  A one-term factor skips the kernel.  Exact division (in
 `Poly.divide_exact` and the determinant in `endo`) shares the packing:
 `_divide_packed`.  Packing lives only inside these kernels; `terms` stays
 the canonical {exponent tuple: Fraction} map.
+
+Every other module imports this one, so it also holds what they all
+share: `Record`, the base of the immutable record classes, and the error
+classes `InconsistencyError` and `VerificationError`.
 """
 
 from __future__ import annotations
@@ -41,6 +45,71 @@ Rational = Union[int, Fraction]
 
 #: Total degree of the zero polynomial: a sentinel below every integer.
 NEG_INF = float("-inf")
+
+
+class InconsistencyError(ValueError):
+    """The data contradicts the claim it was supposed to certify."""
+
+
+class VerificationError(Exception):
+    """An identity the construction guarantees failed to check out; this
+    signals a bug in the library, not bad input."""
+
+
+class Record:
+    """Base of the immutable record classes: MapDocument, LFReport, the
+    tame generators, words and normal forms, and Witness.
+
+    A subclass names its fields in __slots__, in argument order, and their
+    default values in _defaults.  It gets a constructor with one parameter
+    per field, which sets the fields and then calls __post_init__; that
+    may check them and normalise one with object.__setattr__.  Records are
+    equal when they have the same class and equal fields, hash by their
+    fields, and print as Cls(field=value, ...).
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # compiled once per class from its field names, as dataclasses do:
+        # a real signature, and no argument binding at run time
+        fields = cls.__slots__
+        params = ", ".join(f"{f}=_defaults[{f!r}]" if f in cls._defaults else f
+                           for f in fields)
+        body = "".join(f"    _setattr(self, {f!r}, {f})\n" for f in fields)
+        ns = {"_setattr": object.__setattr__, "_defaults": cls._defaults}
+        exec(f"def __init__(self, {params}):\n{body}    self.__post_init__()\n", ns)
+        ns["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = ns["__init__"]
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, since fields
+        # cannot be assigned afterwards
+        return type(self), self._fields()
+
 
 def monomial_degree(mono: Monomial) -> int:
     """Total degree of an exponent tuple."""

@@ -18,23 +18,20 @@ a failed check raises InconsistencyError, so it holds under python -O too.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .endo import Endo
 from .linalg import mat_det, mat_inverse, mat_vec
-from .locfin import InconsistencyError
-from .poly import Poly
+from .poly import InconsistencyError, Poly, Record
 from .textio import parse_poly, render_poly
 
 
-@dataclass(frozen=True)
-class Diagonal:
-    """(c_1 X_1, ..., c_n X_n) with every c_i nonzero."""
+class Diagonal(Record):
+    """(c_1 X_1, ..., c_n X_n) with every c_i nonzero; c is a tuple of
+    Fractions."""
 
-    c: tuple
+    __slots__ = ("c",)
 
     def __post_init__(self):
         c = tuple(Fraction(v) for v in self.c)
@@ -49,13 +46,11 @@ class Diagonal:
         return len(self.c)
 
 
-@dataclass(frozen=True)
-class Elementary:
-    """X_i replaced by X_i + g, all other coordinates fixed; g must not
-    involve X_i."""
+class Elementary(Record):
+    """X_i replaced by X_i + g, all other coordinates fixed; i is an int
+    and g a Poly that must not involve X_i."""
 
-    i: int
-    g: Poly
+    __slots__ = ("i", "g")
 
     def __post_init__(self):
         if not isinstance(self.g, Poly):
@@ -70,12 +65,11 @@ class Elementary:
         return self.g.n
 
 
-@dataclass(frozen=True)
-class Affine:
-    """X -> AX + b with det A != 0."""
+class Affine(Record):
+    """X -> AX + b with det A != 0; A is a tuple of rows and b a tuple,
+    all of Fractions."""
 
-    A: tuple
-    b: tuple
+    __slots__ = ("A", "b")
 
     def __post_init__(self):
         A = tuple(tuple(Fraction(v) for v in row) for row in self.A)
@@ -96,13 +90,11 @@ class Affine:
 Generator = Union[Diagonal, Elementary, Affine]
 
 
-@dataclass(frozen=True)
-class TameWord:
-    """A composition G_1 o ... o G_s of generators in dimension n; the
-    empty word is the identity."""
+class TameWord(Record):
+    """A composition G_1 o ... o G_s of generators (the tuple factors) in
+    dimension n; the empty word is the identity."""
 
-    factors: tuple
-    n: int
+    __slots__ = ("factors", "n")
 
     def __post_init__(self):
         factors = tuple(self.factors)
@@ -124,6 +116,8 @@ class TameWord:
         return {"n": self.n, "factors": [_gen_to_json(f) for f in self.factors]}
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_json_dict())
 
     @classmethod
@@ -139,6 +133,8 @@ class TameWord:
 
     @classmethod
     def from_json(cls, text: str) -> "TameWord":
+        import json
+
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -353,12 +349,11 @@ def _merge_diagonals(d1: Diagonal, d2: Diagonal) -> Diagonal:
     return Diagonal(tuple(a * b for a, b in zip(d1.c, d2.c)))
 
 
-@dataclass(frozen=True)
-class NormalForm:
-    """E_1 o ... o E_s o D; recomposes to the word it came from."""
+class NormalForm(Record):
+    """E_1 o ... o E_s o D, a tuple of Elementary and one Diagonal;
+    recomposes to the word it came from."""
 
-    elementaries: tuple
-    diagonal: Diagonal
+    __slots__ = ("elementaries", "diagonal")
 
     def __post_init__(self):
         object.__setattr__(self, "elementaries", tuple(self.elementaries))

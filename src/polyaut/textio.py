@@ -20,13 +20,11 @@ names, so parse(render(p)) == p and equal polynomials render identically.
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .endo import Endo
-from .poly import Poly
+from .poly import Poly, Record
 
 
 class ParseError(ValueError):
@@ -235,16 +233,13 @@ def render_map(g: Endo) -> str:
 # ----------------------------------------------------------------------
 # the JSON map document
 
-@dataclass(frozen=True)
-class MapDocument:
-    """A dimension plus n coordinate expression strings, with optional
-    metadata.  The expressions must parse in dimension n; to_endo gives the
-    parsed map."""
+class MapDocument(Record):
+    """A dimension n plus a tuple of n coordinate expression strings, with
+    optional name and notes strings (default None).  The expressions must
+    parse in dimension n; to_endo gives the parsed map."""
 
-    n: int
-    coords: tuple
-    name: str | None = None
-    notes: str | None = None
+    __slots__ = ("n", "coords", "name", "notes")
+    _defaults = {"name": None, "notes": None}
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(self.coords))
@@ -274,6 +269,8 @@ class MapDocument:
         return doc
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_json_dict())
 
     @classmethod
@@ -292,6 +289,8 @@ class MapDocument:
 
     @classmethod
     def from_json(cls, text: str) -> "MapDocument":
+        import json
+
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:

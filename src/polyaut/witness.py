@@ -18,34 +18,24 @@ checked certificate; verify_witness rechecks one from scratch.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .endo import Endo, verify_inverse_pair
-from .poly import Poly, Rational
+from .poly import Poly, Rational, Record, VerificationError
 from .tame import Diagonal, Elementary, gen_to_endo
 from .textio import MapDocument, render_map
 
 KINDS = ("Obs2", "Obs3", "Obs4")
 
 
-class VerificationError(Exception):
-    """An identity the construction guarantees failed to check out; this
-    signals a bug in the library, not bad input."""
+class Witness(Record):
+    """A verified membership certificate: kind is one of KINDS, the four
+    maps are Endo, and transcript is a tuple of human-readable lines,
+    metadata only (default empty)."""
 
-
-@dataclass(frozen=True)
-class Witness:
-    """A verified membership certificate; transcript is human-readable
-    metadata only."""
-
-    kind: str
-    target: Endo
-    conjugator: Endo
-    conjugator_inverse: Endo
-    diagonal: Endo
-    transcript: tuple = ()
+    __slots__ = ("kind", "target", "conjugator", "conjugator_inverse", "diagonal",
+                 "transcript")
+    _defaults = {"transcript": ()}
 
     def to_json_dict(self) -> dict:
         return {
@@ -61,6 +51,8 @@ class Witness:
         }
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_json_dict())
 
 

@@ -159,6 +159,33 @@ def test_inconsistent_minpoly_gives_exit_1(capsys):
     assert "verification failed" in err
 
 
+def test_failed_witness_gives_exit_1(capsys, monkeypatch):
+    import polyaut.witness
+    from polyaut.poly import VerificationError
+
+    def fails(e):
+        raise VerificationError("witness chain does not recompose to F")
+
+    monkeypatch.setattr(polyaut.witness, "witness_obs2", fails)
+    code, out, err = run(capsys, "witness-obs2", "--n", "2", "--map", "X+Y^2, Y")
+    assert code == 1
+    assert out == ""
+    assert err == "polyaut: verification failed: witness chain does not recompose to F\n"
+
+
+def test_error_classes_are_shared_by_every_module():
+    import polyaut
+    from polyaut import cli, locfin, poly, tame, witness
+
+    for name in ("InconsistencyError", "VerificationError"):
+        home = getattr(poly, name)
+        assert getattr(polyaut, name) is home
+        assert getattr(cli, name) is home
+    assert locfin.InconsistencyError is tame.InconsistencyError is poly.InconsistencyError
+    assert witness.VerificationError is poly.VerificationError
+    assert issubclass(poly.InconsistencyError, ValueError)
+
+
 # ----------------------------------------------------------------------
 # exit 2: Unknown verdict
 

@@ -335,3 +335,39 @@ def test_linear_combination_distributes_over_right_composition(f, g):
     lhs = linear_combination([a, b], [f, g]).compose(h)
     rhs = linear_combination([a, b], [f.compose(h), g.compose(h)])
     assert lhs == rhs
+
+
+def _linear_combination_reference(coeffs, maps):
+    """Term by term in Fraction arithmetic, as linear_combination summed
+    before it used one integer denominator per coordinate."""
+    n = maps[0].n
+    coords = []
+    for i in range(n):
+        acc = {}
+        for c, g in zip(coeffs, maps):
+            for mono, v in g.coords[i].terms.items():
+                acc[mono] = acc.get(mono, 0) + Fraction(c) * v
+        coords.append(Poly(n, acc))
+    return Endo(coords)
+
+
+@given(
+    st.lists(st.tuples(st.fractions(min_value=-9, max_value=9, max_denominator=12),
+                       small_maps(3)), min_size=1, max_size=4),
+    st.sampled_from(("as drawn", "cancelled", "halves cancelled")),
+)
+@settings(deadline=None, max_examples=80)
+def test_linear_combination_matches_fraction_reference(pairs, shape):
+    cs = [c for c, _ in pairs]
+    maps = [g for _, g in pairs]
+    if shape == "cancelled":
+        # the same maps again with negated coefficients: the zero map
+        cs, maps = cs + [-c for c in cs], maps + maps
+    elif shape == "halves cancelled":
+        cs, maps = cs + [-c / 2 for c in cs] * 2, maps * 3
+    result = linear_combination(cs, maps)
+    assert result == _linear_combination_reference(cs, maps)
+    # canonical terms: nonzero Fractions in lowest terms
+    assert all(type(v) is Fraction and v for p in result.coords for v in p.terms.values())
+    if shape != "as drawn":
+        assert result.is_zero_map
