@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Sequence
 
-from .poly import Poly, Rational, _convolve, _divide_packed, _pack, _shifts, _unpack
+from .poly import Poly, Rational, _convolve, _divide_packed, _pack, _shifts, _unpack, is_int
 
 
 class Endo:
@@ -77,7 +77,7 @@ class Endo:
     def iterate(self, m: int) -> "Endo":
         """The m-th iterate; iterate(0) is the identity.  Taken from the
         orbit, so the earlier iterates are kept on the map too."""
-        if not isinstance(m, int) or m < 0:
+        if not is_int(m) or m < 0:
             raise ValueError(f"iteration count must be a non-negative integer, got {m!r}")
         return self.orbit(m)[m]
 

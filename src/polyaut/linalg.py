@@ -4,7 +4,14 @@ Small dense routines for matrices given as lists of Fraction rows, plus an
 incremental sparse dependence finder used by the minimal-polynomial search,
 its counterpart over GF(p), and rational reconstruction to lift residues
 back to Q.  No floating point anywhere; every pivot decision is a
-deterministic "first nonzero entry" choice.
+deterministic "first nonzero entry" choice: in key order over Q, in the
+order keys first appear over GF(p).
+
+The GF(p) finder packs each row into one int of fixed-width fields, so a
+row operation is one big-int multiply-add instead of a loop over entries.
+A field holds 2*bits(p) + 64 bits, rounded up to whole bytes: entries
+stay below p and each operation adds less than p^2 to a field, so 2^64
+operations cannot carry from one field into the next.
 """
 
 from __future__ import annotations
@@ -119,66 +126,99 @@ class UnluckyPrime(ArithmeticError):
 
 
 class ModularDependenceFinder(DependenceFinder):
-    """DependenceFinder over GF(p) for one prime p.
+    """DependenceFinder over GF(p) for one prime p, on packed integer rows.
 
     Same contract as the rational finder: `add` returns None while the
     vectors stay independent, then the first dependence as
     {vector_index: residue} with residue 1 on the newest vector.  Entries
-    are reduced mod p on the way in; one whose denominator p divides raises
-    UnluckyPrime.
+    are reduced mod p on the way in, with one cached inverse per
+    denominator; one whose denominator p divides raises UnluckyPrime.
 
     The rank over GF(p) is at most the rank over Q (clear the denominators
     of a rational dependence and reduce it mod p), so the first dependence
     found here comes no later than the rational one.  Whether it is the
     same one only an exact check can tell.
 
+    Each basis row, and its combination of the original vectors, is one
+    int of fixed-width fields (the width is argued in the module
+    docstring): a key gets the next field the first time it appears with
+    a nonzero residue, and vector j's coefficient sits in field j of the
+    combination.  A row operation is one multiply-add,
+    work += (p - f) * row with stored fields below p; residues are taken,
+    and zeros found, once per `add`.
+
     The basis rows are kept in insertion order, each reduced against the
     rows before it only; reducing a new vector in that order clears every
     pivot, so the back-substitution of the rational finder is not needed.
+    The pivot of a row is its first nonzero field in first-seen key order.
+    The first dependence is unique, so the pivot order cannot change it.
     """
 
     def __init__(self, p: int):
         super().__init__()
         self.p = p
+        self._size = (2 * p.bit_length() + 64 + 7) // 8  # bytes per field
+        self._slots = {}  # key -> field, in first-seen order
+        self._inverses = {}  # denominator -> its inverse mod p
 
     def add(self, vec):
-        p = self.p
-        work = {}
+        p, size, inverses, slots = self.p, self._size, self._inverses, self._slots
+        residues = []
         for k, v in vec.items():
             num, den = v.numerator, v.denominator
             if den != 1:
-                if den % p == 0:
-                    raise UnluckyPrime(f"denominator {den} vanishes mod {p}")
-                num *= pow(den, -1, p)
+                inv = inverses.get(den)
+                if inv is None:
+                    if den % p == 0:
+                        raise UnluckyPrime(f"denominator {den} vanishes mod {p}")
+                    inv = inverses[den] = pow(den, -1, p)
+                num *= inv
             r = num % p
             if r:
-                work[k] = r
-        combo = {self._count: 1}
+                residues.append((k, r))
+        for k, _ in residues:
+            slots.setdefault(k, len(slots))
+        fields = [0] * len(slots)
+        for k, r in residues:
+            fields[slots[k]] = r
+        work = _pack(fields, size)
+        width = 8 * size
+        combo = 1 << (self._count * width)
         self._count += 1
-        for pivot, row, rcombo in self._rows:
-            f = work.get(pivot)
+        mask = (1 << width) - 1
+        for shift, row, rcombo in self._rows:
+            f = (work >> shift & mask) % p
             if f:
-                _sub_scaled_mod(work, row, f, p)
-                _sub_scaled_mod(combo, rcombo, f, p)
-        if not work:
-            return combo
-        pivot = min(work)
-        inv = pow(work[pivot], -1, p)
-        if inv != 1:
-            work = {k: v * inv % p for k, v in work.items()}
-            combo = {k: v * inv % p for k, v in combo.items()}
-        self._rows.append((pivot, work, combo))
+                work += (p - f) * row
+                combo += (p - f) * rcombo
+        fields = _unpack_mod(work, len(slots), size, p)
+        coeffs = _unpack_mod(combo, self._count, size, p)
+        pivot = next((j for j, r in enumerate(fields) if r), None)
+        if pivot is None:
+            return {j: c for j, c in enumerate(coeffs) if c}
+        inv = pow(fields[pivot], -1, p)
+        self._rows.append((
+            pivot * width,
+            _pack([r * inv % p for r in fields], size),
+            _pack([c * inv % p for c in coeffs], size),
+        ))
         return None
 
 
-def _sub_scaled_mod(target: dict, source: dict, factor: int, p: int):
-    # target -= factor * source over GF(p), dropping zeros
-    for k, v in source.items():
-        s = (target.get(k, 0) - factor * v) % p
-        if s:
-            target[k] = s
-        else:
-            target.pop(k, None)
+def _pack(values: list, size: int) -> int:
+    # one field of size bytes per value, the first value lowest
+    return int.from_bytes(
+        b"".join(v.to_bytes(size, "little") for v in values), "little"
+    )
+
+
+def _unpack_mod(packed: int, count: int, size: int, p: int) -> list:
+    # the residues mod p of the first count fields
+    data = packed.to_bytes(count * size, "little")
+    return [
+        int.from_bytes(data[at:at + size], "little") % p
+        for at in range(0, count * size, size)
+    ]
 
 
 def rational_reconstruction(a: int, m: int):

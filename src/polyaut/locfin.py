@@ -25,6 +25,16 @@ materializes full iterates only on demand.  Two facts make this sound:
 So on budget-exceeding inputs only degrees and top forms are ever
 computed, never the doubling iterates themselves.
 
+Top forms are predicted only off a plateau.  Once iterate m-1 sits in
+the elimination and deg(G) * deg(G^{o(m-1)}) <= max_deg, iterate m is
+composed in full and its degrees are read off it: if its degree does not
+rise, the elimination takes it next anyway, so a certified map composes
+exactly the iterates it would compose with prediction.  The waste is
+bounded: when the degree rises after a plateau, one iterate is composed
+that prediction would have skipped, and its degree is within the budget.
+Henon-type maps, whose degree rises at every step, never reach a plateau
+and keep the lazy path.
+
 The elimination runs over GF(p) for a prime p just below 2^61, not over
 Q.  The rank mod p is at most the rank over Q, so the first dependence mod
 p comes no later than the true first one.  Its coefficients are lifted to
@@ -57,7 +67,7 @@ from .linalg import (
     UnluckyPrime,
     rational_reconstruction,
 )
-from .poly import NEG_INF, InconsistencyError, Poly, Rational, Record
+from .poly import NEG_INF, InconsistencyError, Poly, Rational, Record, is_int
 
 
 class UniPoly:
@@ -290,9 +300,9 @@ def lf_certify(g: Endo, max_iter: int = 16, max_deg: int = 512) -> LFReport:
     (an iterate degree exceeded max_deg, or max_iter iterates brought no
     dependence); it never asserts that g is not locally finite.
     """
-    if not isinstance(max_iter, int) or max_iter < 1:
+    if not is_int(max_iter) or max_iter < 1:
         raise ValueError(f"max_iter must be a positive integer, got {max_iter!r}")
-    if not isinstance(max_deg, int) or max_deg < 1:
+    if not is_int(max_deg) or max_deg < 1:
         raise ValueError(f"max_deg must be a positive integer, got {max_deg!r}")
 
     try:
@@ -317,9 +327,15 @@ def _search(g: Endo, max_iter: int, max_deg: int, finder, relation) -> LFReport:
     added = 0  # iterates 0..added-1 sit in the finder
 
     for m in range(1, max_iter + 1):
-        lead = _compose_leading(g, states[m - 1])
+        if added == m and states[1].degree * states[m - 1].degree <= max_deg:
+            # on a plateau (iterates 0..m-1 sit in the finder, so m >= 2):
+            # the finder takes iterate m next unless its degree rises, and
+            # its degree is within the budget either way
+            lead = None
+        else:
+            lead = _compose_leading(g, states[m - 1])
         if lead is None:
-            # top-degree cancellation: only the real composition knows
+            # a plateau, or top-degree cancellation: compose in full
             _materialize(states, m - 1, g)
             states.append(_IterState.from_endo(g.orbit(m)[m]))
         else:

@@ -27,8 +27,9 @@ map above.  A one-term factor skips the kernel.  Exact division (in
 the canonical {exponent tuple: Fraction} map.
 
 Every other module imports this one, so it also holds what they all
-share: `Record`, the base of the immutable record classes, and the error
-classes `InconsistencyError` and `VerificationError`.
+share: `Record`, the base of the immutable record classes, `is_int`, the
+check for counts and dimensions, and the error classes
+`InconsistencyError` and `VerificationError`.
 """
 
 from __future__ import annotations
@@ -45,6 +46,12 @@ Rational = Union[int, Fraction]
 
 #: Total degree of the zero polynomial: a sentinel below every integer.
 NEG_INF = float("-inf")
+
+
+def is_int(v) -> bool:
+    """True for an int that is not a bool: True and False are no counts,
+    dimensions or exponents, though bool subclasses int."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 class InconsistencyError(ValueError):
@@ -121,7 +128,7 @@ def _validated_terms(n: int, terms: Mapping[Monomial, Rational]) -> dict:
     for mono, coeff in terms.items():
         if not isinstance(mono, tuple) or len(mono) != n:
             raise ValueError(f"monomial {mono!r} does not have dimension {n}")
-        if any((not isinstance(e, int)) or e < 0 for e in mono):
+        if any(not is_int(e) or e < 0 for e in mono):
             raise ValueError(f"monomial {mono!r} has a bad exponent")
         c = Fraction(coeff)
         if c:
@@ -135,7 +142,7 @@ class Poly:
     __slots__ = ("n", "terms", "_hash")
 
     def __init__(self, n: int, terms: Mapping[Monomial, Rational] | None = None):
-        if not isinstance(n, int) or n < 1:
+        if not is_int(n) or n < 1:
             raise ValueError(f"dimension must be a positive integer, got {n!r}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", _validated_terms(n, terms or {}))
@@ -289,7 +296,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "Poly":
-        if not isinstance(e, int) or e < 0:
+        if not is_int(e) or e < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {e!r}")
         result = Poly.constant(self.n, 1)
         base = self

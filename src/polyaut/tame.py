@@ -23,7 +23,7 @@ from typing import Union
 
 from .endo import Endo
 from .linalg import mat_det, mat_inverse, mat_vec
-from .poly import InconsistencyError, Poly, Record
+from .poly import InconsistencyError, Poly, Record, is_int
 from .textio import parse_poly, render_poly
 
 
@@ -55,7 +55,7 @@ class Elementary(Record):
     def __post_init__(self):
         if not isinstance(self.g, Poly):
             raise ValueError("g must be a Poly")
-        if not 1 <= self.i <= self.g.n:
+        if not is_int(self.i) or not 1 <= self.i <= self.g.n:
             raise ValueError(f"index {self.i} out of range for dimension {self.g.n}")
         if any(mono[self.i - 1] != 0 for mono in self.g.terms):
             raise ValueError(f"g may not involve x{self.i}")
@@ -99,7 +99,7 @@ class TameWord(Record):
     def __post_init__(self):
         factors = tuple(self.factors)
         object.__setattr__(self, "factors", factors)
-        if not isinstance(self.n, int) or self.n < 1:
+        if not is_int(self.n) or self.n < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.n!r}")
         for f in factors:
             if not isinstance(f, (Diagonal, Elementary, Affine)):
@@ -125,7 +125,7 @@ class TameWord(Record):
         if not isinstance(doc, dict) or "n" not in doc or "factors" not in doc:
             raise ValueError("word document needs 'n' and 'factors'")
         n = doc["n"]
-        if not _is_json_int(n) or n < 1:
+        if not is_int(n) or n < 1:
             raise ValueError(f"dimension must be a positive integer, got {n!r}")
         if not isinstance(doc["factors"], list):
             raise ValueError("'factors' must be a list")
@@ -154,15 +154,10 @@ def _gen_to_json(f: Generator) -> dict:
     }
 
 
-def _is_json_int(v) -> bool:
-    # JSON true/false arrive as bool, a subclass of int
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _json_rational(v) -> Fraction:
     """An exact rational from a JSON integer or a string such as "-2/3";
     a JSON float is already rounded to binary, so it is refused."""
-    if not (_is_json_int(v) or isinstance(v, str)):
+    if not (is_int(v) or isinstance(v, str)):
         raise ValueError(f"expected an integer or a rational string, got {v!r}")
     return Fraction(v)
 
@@ -179,7 +174,7 @@ def _gen_from_json(doc, n: int) -> Generator:
     kind = doc["kind"]
     try:
         if kind == "elementary":
-            if not _is_json_int(doc["i"]):
+            if not is_int(doc["i"]):
                 raise ValueError(f"'i' must be an integer, got {doc['i']!r}")
             return Elementary(doc["i"], parse_poly(doc["g"], n))
         if kind == "diagonal":

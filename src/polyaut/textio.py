@@ -24,7 +24,7 @@ import re
 from fractions import Fraction
 
 from .endo import Endo
-from .poly import Poly, Record
+from .poly import Poly, Record, is_int
 
 
 class ParseError(ValueError):
@@ -60,7 +60,7 @@ def _tokenize(text: str):
 
 class _Parser:
     def __init__(self, text: str, n: int):
-        if not isinstance(n, int) or n < 1:
+        if not is_int(n) or n < 1:
             raise ValueError(f"dimension must be a positive integer, got {n!r}")
         self.n = n
         self.tokens = _tokenize(text)
@@ -243,7 +243,7 @@ class MapDocument(Record):
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(self.coords))
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
+        if not is_int(self.n) or self.n < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.n!r}")
         if len(self.coords) != self.n:
             raise ValueError(

@@ -62,6 +62,8 @@ def test_iterate_of_shear():
     assert g.iterate(3) == Endo([x + 3 * y**2, y])
     with pytest.raises(ValueError):
         g.iterate(-1)
+    with pytest.raises(ValueError):
+        g.iterate(True)
 
 
 def test_degree():

@@ -153,6 +153,109 @@ def test_modular_finder_combination_vanishes_mod_p(vectors, p):
     assert f.rank == f.vectors_seen == len(vectors)
 
 
+class _DictRowModularFinder:
+    """The modular finder on {key: residue} rows, as it was before rows
+    were packed into ints: the reference for the packed finder."""
+
+    def __init__(self, p):
+        self.p = p
+        self._rows = []  # (pivot_key, row_dict, combo_dict)
+        self._count = 0
+
+    @property
+    def rank(self):
+        return len(self._rows)
+
+    def add(self, vec):
+        p = self.p
+        work = {}
+        for k, v in vec.items():
+            num, den = v.numerator, v.denominator
+            if den != 1:
+                if den % p == 0:
+                    raise UnluckyPrime(f"denominator {den} vanishes mod {p}")
+                num *= pow(den, -1, p)
+            r = num % p
+            if r:
+                work[k] = r
+        combo = {self._count: 1}
+        self._count += 1
+        for pivot, row, rcombo in self._rows:
+            f = work.get(pivot)
+            if f:
+                _sub_scaled_mod(work, row, f, p)
+                _sub_scaled_mod(combo, rcombo, f, p)
+        if not work:
+            return combo
+        pivot = min(work)
+        inv = pow(work[pivot], -1, p)
+        if inv != 1:
+            work = {k: v * inv % p for k, v in work.items()}
+            combo = {k: v * inv % p for k, v in combo.items()}
+        self._rows.append((pivot, work, combo))
+        return None
+
+
+def _sub_scaled_mod(target, source, factor, p):
+    # target -= factor * source over GF(p), dropping zeros
+    for k, v in source.items():
+        s = (target.get(k, 0) - factor * v) % p
+        if s:
+            target[k] = s
+        else:
+            target.pop(k, None)
+
+
+def _outcome(finder, vec):
+    try:
+        return finder.add(vec)
+    except UnluckyPrime:
+        return UnluckyPrime
+
+
+# keys shaped like the flattened iterates: (coordinate, exponent tuple)
+KEY_POOL = [(i, (a, b)) for i in range(2) for a in range(3) for b in range(2)]
+# denominators 3, 5 and 7 make those primes unlucky
+POOL_ENTRIES = st.fractions(min_value=-20, max_value=20, max_denominator=15)
+
+
+@given(
+    st.lists(
+        st.dictionaries(st.sampled_from(KEY_POOL), POOL_ENTRIES, max_size=6),
+        min_size=1,
+        max_size=14,
+    ),
+    st.sampled_from([3, 5, 7, P61]),
+)
+def test_packed_finder_matches_dict_rows(vectors, p):
+    # every add gives the same dependence, None or UnluckyPrime, and the
+    # rank agrees throughout, also after a dependence or an unlucky vector
+    packed, reference = ModularDependenceFinder(p), _DictRowModularFinder(p)
+    for vec in vectors:
+        assert _outcome(packed, vec) == _outcome(reference, vec)
+        assert packed.rank == reference.rank
+    assert packed.vectors_seen == reference._count
+
+
+def test_packed_finder_carries_at_full_width():
+    # entries p - 1 at the largest prime: 64 vectors of full rank, each
+    # reduced against every earlier row, then one that depends on them all
+    p, dim = P61, 64
+    vectors = [
+        {(0, (k,)): Q(p - 1) for k in range(dim) if k != i} for i in range(dim)
+    ]
+    packed, reference = ModularDependenceFinder(p), _DictRowModularFinder(p)
+    for vec in vectors:
+        assert packed.add(vec) is None
+        assert reference.add(vec) is None
+    assert packed.rank == dim
+    dependent = {(0, (k,)): Q(p - 1) for k in range(dim)}
+    combo = packed.add(dependent)
+    assert combo == reference.add(dependent)
+    # the sum of the 64 vectors is 63 times the dependent one
+    assert combo == {**{j: pow(-63, -1, p) % p for j in range(dim)}, dim: 1}
+
+
 def test_modular_finder_rejects_denominator_divisible_by_p():
     f = ModularDependenceFinder(3)
     assert f.add({"a": Q(1, 2)}) is None

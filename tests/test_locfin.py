@@ -151,6 +151,11 @@ def test_budget_validation():
         lf_certify(shear(), max_iter=0)
     with pytest.raises(ValueError):
         lf_certify(shear(), max_deg=0)
+    # bools are not counts
+    with pytest.raises(ValueError):
+        lf_certify(shear(), max_iter=True)
+    with pytest.raises(ValueError):
+        lf_certify(shear(), max_deg=True)
 
 
 def test_certify_zero_map():
@@ -434,6 +439,50 @@ def test_unlucky_primes(monkeypatch, text, n, primes, falls_back):
     assert r.certified
     assert bool(calls) == falls_back
     assert r == _exact_reference(g)
+
+
+# ----------------------------------------------------------------------
+# no top-form prediction on a plateau
+
+@given(
+    st.sampled_from(["triangular", "dejonquieres", "diagonal"]),
+    st.integers(min_value=0, max_value=2**32),
+)
+@settings(deadline=None, max_examples=40)
+def test_iterate_degrees_are_true_degrees(kind, seed):
+    g = SAMPLED_MAPS[kind](random.Random(seed))
+    report = lf_certify(g)
+    fresh = Endo(g.coords)  # composes its own orbit
+    assert report.iterate_degrees == tuple(
+        fresh.iterate(m).degree() for m in range(len(report.iterate_degrees))
+    )
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+@settings(deadline=None, max_examples=20)
+def test_henon_certification_composes_no_iterate(seed):
+    g = samplers.random_henon(random.Random(seed))
+    assert lf_certify(g).verdict == "Unknown"
+    assert len(g._orbit) == 1  # the identity only
+
+
+def test_prediction_runs_only_off_a_plateau(monkeypatch):
+    # degrees 1, 2, 2, 2: iterates 0..2 reach the finder at m = 2, so at
+    # m = 3 the bound deg(g) * deg(g^2) = 4 decides between composing
+    # iterate 3 in full and predicting its top forms
+    calls = []
+    real = locfin._compose_leading
+    monkeypatch.setattr(
+        locfin, "_compose_leading", lambda g, prev: calls.append(prev) or real(g, prev)
+    )
+    text = "2*x1 + 7*x2^2, 3*x2"
+    reports = []
+    for max_deg, predicted in ((4, 2), (3, 3)):
+        calls.clear()
+        reports.append(lf_certify(parse_map(text, 2), max_deg=max_deg))
+        assert len(calls) == predicted
+    assert reports[0] == reports[1]
+    assert reports[0].iterate_degrees == (1, 2, 2, 2)
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyaut.poly import NEG_INF, Poly, monomial_degree
+from polyaut.poly import NEG_INF, Poly, is_int, monomial_degree
 
 
 def V(n):
@@ -111,6 +111,18 @@ def test_pow_negative_rejected():
     (x,) = V(1)
     with pytest.raises(ValueError):
         x ** (-1)
+
+
+def test_bools_are_not_counts():
+    # bool subclasses int, but True is no dimension, exponent or power
+    assert is_int(0) and is_int(-3) and is_int(2**70)
+    assert not any(is_int(v) for v in (True, False, 1.0, Fraction(1), "1", None))
+    with pytest.raises(ValueError):
+        Poly(True)
+    with pytest.raises(ValueError):
+        Poly(2, {(True, 0): 1})
+    with pytest.raises(ValueError):
+        V(1)[0] ** True
 
 
 def test_pow_zero_is_one():

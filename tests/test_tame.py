@@ -464,6 +464,13 @@ def test_word_json_rejects_floats_and_bools(doc):
         TameWord.from_json(json.dumps(doc))
 
 
+def test_bools_are_not_indices_or_dimensions():
+    with pytest.raises(ValueError):
+        TameWord((), True)
+    with pytest.raises(ValueError):
+        Elementary(True, Poly.variable(2, 2))
+
+
 def test_word_json_accepts_integers_and_rational_strings():
     doc = {"n": 2, "factors": [{"kind": "diagonal", "c": [2, "-1/3"]}]}
     assert TameWord.from_json(json.dumps(doc)).factors == (Diagonal((Q(2), Q(-1, 3))),)

@@ -202,6 +202,10 @@ def test_map_document_validation():
 def test_map_document_rejects_bool_dimension():
     with pytest.raises(ValueError):
         MapDocument.from_json('{"n": true, "coords": ["x1"]}')
+    with pytest.raises(ValueError):
+        MapDocument(True, ("x1",))
+    with pytest.raises(ValueError):
+        parse_map("x1", True)
 
 
 # ----------------------------------------------------------------------
