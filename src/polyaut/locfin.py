@@ -10,10 +10,13 @@ relation found is automatically the monic minimal polynomial.
 
 Degree growth is the enemy: for Henon-type maps deg(G^{om}) doubles each
 step and the iterates themselves become astronomically large long before
-the degree budget trips.  The certifier therefore tracks each iterate's
-per-coordinate degree and top form (leading homogeneous part), which
-compose exactly as long as no cancellation occurs in the top degree, and
-materializes full iterates only on demand.  Two facts make this sound:
+the degree budget trips.  The certifier therefore keeps one tuple of top
+forms (leading homogeneous parts) per iterate and reads the degrees off
+it.  The top forms of G^{om} come from those of G^{o(m-1)} by one
+substitution per coordinate, exact as long as no cancellation occurs in
+the top degree.  Full iterates live only in the map's orbit, composed on
+demand and each checked against the degrees its top forms predicted.  Two
+facts make this sound:
 
   * an iterate whose degree strictly exceeds every earlier iterate's
     degree cannot take part in a first linear dependence (compare top
@@ -22,12 +25,12 @@ materializes full iterates only on demand.  Two facts make this sound:
     plateaus or drops, and at that point the skipped iterates are
     materialized and fed to the elimination in order.
 
-So on budget-exceeding inputs only degrees and top forms are ever
-computed, never the doubling iterates themselves.
+So on budget-exceeding inputs only top forms are ever computed, never the
+doubling iterates themselves.
 
 Top forms are predicted only off a plateau.  Once iterate m-1 sits in
 the elimination and deg(G) * deg(G^{o(m-1)}) <= max_deg, iterate m is
-composed in full and its degrees are read off it: if its degree does not
+composed in full and its top forms are read off it: if its degree does not
 rise, the elimination takes it next anyway, so a certified map composes
 exactly the iterates it would compose with prediction.  The waste is
 bounded: when the degree rises after a plateau, one iterate is composed
@@ -186,48 +189,36 @@ class LFReport(Record):
 
 
 # ----------------------------------------------------------------------
-# lazy iterate bookkeeping
+# lazy iterate bookkeeping: top forms only, full iterates in g's orbit
 
-class _IterState:
-    """Per-coordinate degrees and top forms of one iterate; the full value
-    only when someone needed it."""
-
-    __slots__ = ("degrees", "tops", "value")
-
-    def __init__(self, degrees, tops, value):
-        self.degrees = degrees
-        self.tops = tops
-        self.value = value
-
-    @classmethod
-    def from_endo(cls, g: Endo) -> "_IterState":
-        return cls(
-            tuple(c.total_degree() for c in g.coords),
-            tuple(c.top_form() for c in g.coords),
-            g,
-        )
-
-    @property
-    def degree(self):
-        return max(self.degrees)
+def _top_forms(g: Endo) -> tuple:
+    return tuple(c.top_form() for c in g.coords)
 
 
-def _compose_leading(g: Endo, prev: _IterState):
-    """Exact degrees and top forms of g o prev from prev's top forms alone.
+def _degree(tops: tuple):
+    """deg of an iterate, read off its top forms; NEG_INF if all are zero."""
+    return max(t.total_degree() for t in tops)
 
-    Coordinate i of the composition is g_i(prev_1, ..., prev_n); a monomial
-    c*X^alpha contributes degree sum(alpha_j * deg prev_j), and only the
-    maximal-degree monomials reach the top, where they compose through the
-    top forms.  Returns None when the candidate tops cancel (then the true
-    degree is smaller and only full composition can tell).
+
+def _compose_leading(g: Endo, tops: tuple):
+    """The top forms of g o h from the top forms of h alone.
+
+    Coordinate i of the composition is g_i(h_1, ..., h_n); a monomial
+    c*X^alpha contributes degree sum(alpha_j * deg h_j), and only the
+    monomials of maximal degree reach the top.  Their sum, with each h_j
+    replaced by its top form, is one Poly.substitute; a nonzero sum of
+    products of forms of degree d is homogeneous of degree d, so it is the
+    top form.  Returns None when a nonempty selection substitutes to zero
+    (the candidate tops cancel, the true degree is smaller and only full
+    composition can tell).
     """
-    ambient = prev.tops[0].n
-    degrees, tops = [], []
+    degrees = [t.total_degree() for t in tops]
+    out = []
     for gi in g.coords:
-        best, top = NEG_INF, []  # the terms of maximal degree under prev
+        best, top = NEG_INF, {}  # the terms of maximal degree under h
         for mono, c in gi.terms.items():
             d = 0
-            for a, dj in zip(mono, prev.degrees):
+            for a, dj in zip(mono, degrees):
                 if a == 0:
                     continue
                 if dj == NEG_INF:
@@ -235,35 +226,29 @@ def _compose_leading(g: Endo, prev: _IterState):
                 d += a * dj
             else:
                 if d > best:
-                    best, top = d, [(mono, c)]
+                    best, top = d, {mono: c}
                 elif d == best:
-                    top.append((mono, c))
-        acc = Poly.zero(ambient)
-        for mono, c in top:
-            term = Poly.constant(ambient, c)
-            for j, a in enumerate(mono):
-                if a:
-                    term = term * prev.tops[j] ** a
-            acc = acc + term
-        if top and acc.is_zero:
+                    top[mono] = c
+        form = Poly._raw(g.n, top).substitute(tops)
+        if top and form.is_zero:
             return None
-        degrees.append(best)
-        tops.append(acc)
-    return tuple(degrees), tuple(tops)
+        out.append(form)
+    return tuple(out)
 
 
-def _materialize(states, k: int, g: Endo):
-    """Fill in states[k].value (and every earlier one) from g's orbit."""
-    if states[k].value is not None:
-        return
-    _materialize(states, k - 1, g)
-    value = g.orbit(k)[k]
-    # the lazily computed degree certificate must agree with reality
-    if tuple(c.total_degree() for c in value.coords) != states[k].degrees:
-        raise InconsistencyError(
-            f"iterate {k} does not have the degrees its top forms predict"
-        )
-    states[k].value = value
+def _materialize(g: Endo, tops: list, composed: int, k: int) -> int:
+    """Compose iterates composed..k in g's orbit, each checked against the
+    degrees its top forms predict; returns the new count of composed
+    iterates."""
+    for j in range(composed, k + 1):
+        value = g.orbit(j)[j]
+        if tuple(c.total_degree() for c in value.coords) != tuple(
+            t.total_degree() for t in tops[j]
+        ):
+            raise InconsistencyError(
+                f"iterate {j} does not have the degrees its top forms predict"
+            )
+    return max(composed, k + 1)
 
 
 def _flatten(g: Endo) -> dict:
@@ -321,26 +306,27 @@ def _search(g: Endo, max_iter: int, max_deg: int, finder, relation) -> LFReport:
     iterate k was added while examining iterate m, into the minimal
     polynomial.
     """
-    states = [_IterState.from_endo(g.orbit(0)[0])]
-    degree_seq = [states[0].degree]
-    running_max = states[0].degree
+    tops = [_top_forms(g.orbit(0)[0])]  # per iterate
+    degree_seq = [_degree(tops[0])]
+    running_max = degree_seq[0]
+    composed = 1  # iterates 0..composed-1 are composed, in g's orbit
     added = 0  # iterates 0..added-1 sit in the finder
 
     for m in range(1, max_iter + 1):
-        if added == m and states[1].degree * states[m - 1].degree <= max_deg:
+        if added == m and degree_seq[1] * degree_seq[m - 1] <= max_deg:
             # on a plateau (iterates 0..m-1 sit in the finder, so m >= 2):
             # the finder takes iterate m next unless its degree rises, and
             # its degree is within the budget either way
             lead = None
         else:
-            lead = _compose_leading(g, states[m - 1])
+            lead = _compose_leading(g, tops[m - 1])
         if lead is None:
             # a plateau, or top-degree cancellation: compose in full
-            _materialize(states, m - 1, g)
-            states.append(_IterState.from_endo(g.orbit(m)[m]))
-        else:
-            states.append(_IterState(lead[0], lead[1], None))
-        d = states[m].degree
+            _materialize(g, tops, composed, m - 1)
+            lead = _top_forms(g.orbit(m)[m])
+            composed = m + 1
+        tops.append(lead)
+        d = _degree(lead)
         degree_seq.append(d)
 
         if d != NEG_INF and d > max_deg:
@@ -354,8 +340,8 @@ def _search(g: Endo, max_iter: int, max_deg: int, finder, relation) -> LFReport:
             continue
 
         for k in range(added, m + 1):
-            _materialize(states, k, g)
-            combo = finder.add(_flatten(states[k].value))
+            composed = _materialize(g, tops, composed, k)
+            combo = finder.add(_flatten(g.orbit(k)[k]))
             added += 1
             if combo is not None:
                 return LFReport(

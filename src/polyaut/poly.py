@@ -28,8 +28,8 @@ the canonical {exponent tuple: Fraction} map.
 
 Every other module imports this one, so it also holds what they all
 share: `Record`, the base of the immutable record classes, `is_int`, the
-check for counts and dimensions, and the error classes
-`InconsistencyError` and `VerificationError`.
+check for counts and exponents, `check_dimension`, the one for dimensions,
+and the error classes `InconsistencyError` and `VerificationError`.
 """
 
 from __future__ import annotations
@@ -52,6 +52,12 @@ def is_int(v) -> bool:
     """True for an int that is not a bool: True and False are no counts,
     dimensions or exponents, though bool subclasses int."""
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def check_dimension(n):
+    """Raise ValueError unless n is a positive int (not a bool)."""
+    if not is_int(n) or n < 1:
+        raise ValueError(f"dimension must be a positive integer, got {n!r}")
 
 
 class InconsistencyError(ValueError):
@@ -142,8 +148,7 @@ class Poly:
     __slots__ = ("n", "terms", "_hash")
 
     def __init__(self, n: int, terms: Mapping[Monomial, Rational] | None = None):
-        if not is_int(n) or n < 1:
-            raise ValueError(f"dimension must be a positive integer, got {n!r}")
+        check_dimension(n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", _validated_terms(n, terms or {}))
         object.__setattr__(self, "_hash", None)
@@ -170,13 +175,15 @@ class Poly:
 
     @classmethod
     def constant(cls, n: int, value: Rational) -> "Poly":
+        check_dimension(n)
         c = Fraction(value)
         return cls._raw(n, {(0,) * n: c} if c else {})
 
     @classmethod
     def variable(cls, n: int, i: int) -> "Poly":
         """The polynomial x_i (1-based index)."""
-        if not 1 <= i <= n:
+        check_dimension(n)
+        if not is_int(i) or not 1 <= i <= n:
             raise ValueError(f"variable index {i} out of range 1..{n}")
         exp = [0] * n
         exp[i - 1] = 1

@@ -23,8 +23,8 @@ from typing import Union
 
 from .endo import Endo
 from .linalg import mat_det, mat_inverse, mat_vec
-from .poly import InconsistencyError, Poly, Record, is_int
-from .textio import parse_poly, render_poly
+from .poly import InconsistencyError, Poly, Record, check_dimension, is_int
+from .textio import _read_json, parse_poly, render_poly
 
 
 class Diagonal(Record):
@@ -99,8 +99,7 @@ class TameWord(Record):
     def __post_init__(self):
         factors = tuple(self.factors)
         object.__setattr__(self, "factors", factors)
-        if not is_int(self.n) or self.n < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.n!r}")
+        check_dimension(self.n)
         for f in factors:
             if not isinstance(f, (Diagonal, Elementary, Affine)):
                 raise ValueError(f"not a generator: {f!r}")
@@ -125,21 +124,14 @@ class TameWord(Record):
         if not isinstance(doc, dict) or "n" not in doc or "factors" not in doc:
             raise ValueError("word document needs 'n' and 'factors'")
         n = doc["n"]
-        if not is_int(n) or n < 1:
-            raise ValueError(f"dimension must be a positive integer, got {n!r}")
+        check_dimension(n)
         if not isinstance(doc["factors"], list):
             raise ValueError("'factors' must be a list")
         return cls(tuple(_gen_from_json(f, n) for f in doc["factors"]), n)
 
     @classmethod
     def from_json(cls, text: str) -> "TameWord":
-        import json
-
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid JSON: {exc}") from exc
-        return cls.from_json_dict(doc)
+        return cls.from_json_dict(_read_json(text))
 
 
 def _gen_to_json(f: Generator) -> dict:

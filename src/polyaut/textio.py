@@ -24,7 +24,7 @@ import re
 from fractions import Fraction
 
 from .endo import Endo
-from .poly import Poly, Record, is_int
+from .poly import Poly, Record, check_dimension
 
 
 class ParseError(ValueError):
@@ -60,8 +60,7 @@ def _tokenize(text: str):
 
 class _Parser:
     def __init__(self, text: str, n: int):
-        if not is_int(n) or n < 1:
-            raise ValueError(f"dimension must be a positive integer, got {n!r}")
+        check_dimension(n)
         self.n = n
         self.tokens = _tokenize(text)
         self.k = 0
@@ -243,14 +242,17 @@ class MapDocument(Record):
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(self.coords))
-        if not is_int(self.n) or self.n < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.n!r}")
+        check_dimension(self.n)
         if len(self.coords) != self.n:
             raise ValueError(
                 f"expected {self.n} coordinate expressions, got {len(self.coords)}"
             )
         for expr in self.coords:
             parse_poly(expr, self.n)
+        for field in ("name", "notes"):
+            value = getattr(self, field)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"'{field}' must be a string, got {value!r}")
 
     @classmethod
     def from_endo(cls, g: Endo, name: str | None = None,
@@ -289,10 +291,17 @@ class MapDocument(Record):
 
     @classmethod
     def from_json(cls, text: str) -> "MapDocument":
-        import json
+        return cls.from_json_dict(_read_json(text))
 
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid JSON: {exc}") from exc
-        return cls.from_json_dict(doc)
+
+def _read_json(text: str):
+    """json.loads for the document readers: malformed JSON, and JSON nested
+    too deeply for the decoder's recursion, are ValueErrors."""
+    import json
+
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValueError("invalid JSON: nested too deeply") from None

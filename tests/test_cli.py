@@ -226,6 +226,19 @@ def test_deep_nesting_gives_exit_3(capsys):
     assert "nested too deeply" in err
 
 
+@pytest.mark.parametrize("subcommand, text", [
+    ("normal-form", "[" * 200000),
+    ("parse-check", '{"n": 1, "coords": ' + "[" * 200000),
+])
+def test_deeply_nested_json_gives_exit_3(capsys, tmp_path, subcommand, text):
+    doc = tmp_path / "deep.json"
+    doc.write_text(text)
+    code, out, err = run(capsys, subcommand, "--file", str(doc))
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == ["polyaut: error: invalid JSON: nested too deeply"]
+
+
 def test_wrong_coordinate_count_gives_exit_3(capsys):
     code, _, err = run(capsys, "parse-check", "--n", "3", "--map", "x1, x2")
     assert code == 3

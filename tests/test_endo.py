@@ -39,6 +39,11 @@ def test_constructor_validation():
         Endo([x, Poly.variable(3, 1)])
 
 
+def test_identity_needs_an_int_dimension():
+    with pytest.raises(ValueError, match="dimension must be a positive integer, got True"):
+        Endo.identity(True)
+
+
 def test_identity_fixed_by_composition():
     g = shear2()
     e = Endo.identity(2)

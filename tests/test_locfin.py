@@ -535,27 +535,30 @@ def test_certificates_hold_under_python_optimize():
 @given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2**32))
 @settings(deadline=None, max_examples=80)
 def test_compose_leading_matches_full_composition(n, seed):
-    # the prediction is the degrees and top forms of g o h, and None
-    # exactly when some coordinate's candidate tops cancel
+    # the prediction is the top forms of g o h, and None exactly when some
+    # coordinate's candidate tops cancel; full composition is the reference
     rng = random.Random(seed)
     g, h = (Endo([samplers.random_poly(rng, n, 3, 3) for _ in range(n)]) for _ in "gh")
-    state = locfin._IterState.from_endo(h)
-    truth = locfin._IterState.from_endo(g.compose(h))
+    tops = tuple(c.top_form() for c in h.coords)
+    truth = tuple(c.top_form() for c in g.compose(h).coords)
+    degrees = [t.total_degree() for t in tops]
     predicted = [
-        max((sum(a * d for a, d in zip(mono, state.degrees) if a) for mono in p.terms),
+        max((sum(a * d for a, d in zip(mono, degrees) if a) for mono in p.terms),
             default=NEG_INF)
         for p in g.coords
     ]
-    lead = locfin._compose_leading(g, state)
-    assert (lead is None) == any(t < d for t, d in zip(truth.degrees, predicted))
+    lead = locfin._compose_leading(g, tops)
+    assert (lead is None) == any(
+        t.total_degree() < d for t, d in zip(truth, predicted)
+    )
     if lead is not None:
-        assert lead == (truth.degrees, truth.tops)
+        assert lead == truth
 
 
 def test_compose_leading_reports_cancelling_tops():
     g = parse_map("x1 - x2, x2", 2)
     h = parse_map("x1 + x2^2, x2^2 + 1", 2)
-    assert locfin._compose_leading(g, locfin._IterState.from_endo(h)) is None
+    assert locfin._compose_leading(g, tuple(c.top_form() for c in h.coords)) is None
 
 
 def test_degree_certificate_mismatch_raises(monkeypatch):
@@ -563,12 +566,11 @@ def test_degree_certificate_mismatch_raises(monkeypatch):
     # here every iterate of the shear is claimed to stay linear
     real = locfin._compose_leading
 
-    def stays_linear(g, prev):
-        lead = real(g, prev)
-        return None if lead is None else ((1,) * g.n, lead[1])
+    def stays_linear(g, tops):
+        return None if real(g, tops) is None else Poly.variables(g.n)
 
     monkeypatch.setattr(locfin, "_compose_leading", stays_linear)
-    with pytest.raises(InconsistencyError):
+    with pytest.raises(InconsistencyError, match="^iterate 1 does not have the degrees"):
         lf_certify(shear())
 
 

@@ -123,6 +123,12 @@ def test_bools_are_not_counts():
         Poly(2, {(True, 0): 1})
     with pytest.raises(ValueError):
         V(1)[0] ** True
+    # nor a dimension or a variable index of the fast constructors
+    for build in (lambda: Poly.constant(True, 1), lambda: Poly.constant(0, 1),
+                  lambda: Poly.variable(True, 1), lambda: Poly.variable(2, True),
+                  lambda: Poly.variable(2, 1.0)):
+        with pytest.raises(ValueError):
+            build()
 
 
 def test_pow_zero_is_one():

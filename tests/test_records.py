@@ -130,6 +130,10 @@ def test_defaults_and_keywords():
      "dimension must be a positive integer, got True"),
     (lambda: MapDocument(2, ["x1"]), ValueError, "expected 2 coordinate expressions, got 1"),
     (lambda: MapDocument(1, ["x2"]), ParseError, "variable x2 out of range for dimension 1"),
+    (lambda: MapDocument.from_json('{"n":1,"coords":["x1"],"name":5,"notes":[1,2]}'),
+     ValueError, "'name' must be a string, got 5"),
+    (lambda: MapDocument(1, ["x1"], "id", [1, 2]), ValueError,
+     "'notes' must be a string, got [1, 2]"),
     (lambda: Diagonal(()), ValueError, "diagonal needs at least one entry"),
     (lambda: Diagonal((1, 0)), ValueError, "diagonal entries must be nonzero"),
     (lambda: Elementary(1, "x2"), ValueError, "g must be a Poly"),
