@@ -59,7 +59,8 @@ w4 = witness_obs4()
 for line in w4.transcript:
     print(" ", line)
 
-# Witnesses serialize with a verified flag recomputed on export.
+# Witnesses serialize with a verified flag that is always true: a Witness
+# is checked when it is made, so export renders it without checking again.
 doc = w4.to_json_dict()
 print()
 print("JSON keys:", sorted(doc))

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from .endo import Endo
 from .poly import InconsistencyError, Poly, VerificationError
-from .textio import MapDocument, ParseError, parse_map, render_map, render_poly
+from .textio import (MapDocument, ParseError, _read_rational, parse_map, render_map,
+                     render_poly)
 
 
 class _UsageError(Exception):
@@ -209,8 +209,9 @@ def _cmd_witness_obs2(args) -> int:
 def _cmd_witness_obs3(args) -> int:
     from .witness import witness_obs3
 
+    a = _read_rational(args.a)
     e = _as_elementary(_load_single_map(args))
-    return _witness_output(witness_obs3(e, a=args.a, j=args.j), args.format)
+    return _witness_output(witness_obs3(e, a=a, j=args.j), args.format)
 
 
 def _cmd_nagata_verify(args) -> int:
@@ -290,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add("witness-obs3", _cmd_witness_obs3,
               "determinant-one conjugation witness for an elementary map")
     _add_map_flags(sub)
-    sub.add_argument("--a", type=Fraction, default=Fraction(2),
-                     help="scaling parameter, not 0 or +-1 (default 2)")
+    sub.add_argument("--a", default="2",
+                     help="scaling parameter p or p/q, not 0 or +-1 (default 2)")
     sub.add_argument("--j", type=int, default=None,
                      help="balancing index (default: smallest != i)")
 

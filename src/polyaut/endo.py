@@ -37,6 +37,10 @@ class Endo:
     def __setattr__(self, name, value):
         raise AttributeError("Endo is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, without the orbit
+        return Endo, (self.coords,)
+
     @classmethod
     def identity(cls, n: int) -> "Endo":
         return cls(Poly.variables(n))

@@ -29,11 +29,13 @@ the canonical {exponent tuple: Fraction} map.
 Every other module imports this one, so it also holds what they all
 share: `Record`, the base of the immutable record classes, `is_int`, the
 check for counts and exponents, `check_dimension`, the one for dimensions,
-and the error classes `InconsistencyError` and `VerificationError`.
+`_brief`, which quotes a value in an error message, and the error classes
+`InconsistencyError` and `VerificationError`.
 """
 
 from __future__ import annotations
 
+import reprlib
 from fractions import Fraction
 from itertools import groupby
 from heapq import heapify, heappop, heappush
@@ -54,10 +56,18 @@ def is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _brief(value) -> str:
+    """repr(value) cut to at most 60 characters, so that an error line that
+    quotes a value read from input stays one readable line however long or
+    deeply nested the value is."""
+    text = reprlib.repr(value)
+    return text if len(text) <= 60 else text[:56] + " ..."
+
+
 def check_dimension(n):
     """Raise ValueError unless n is a positive int (not a bool)."""
     if not is_int(n) or n < 1:
-        raise ValueError(f"dimension must be a positive integer, got {n!r}")
+        raise ValueError(f"dimension must be a positive integer, got {_brief(n)}")
 
 
 class InconsistencyError(ValueError):
@@ -165,6 +175,10 @@ class Poly:
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor
+        return Poly, (self.n, self.terms)
 
     # ------------------------------------------------------------------
     # constructors
@@ -333,7 +347,7 @@ class Poly:
 
     def partial_derivative(self, i: int) -> "Poly":
         """Formal partial derivative with respect to x_i (1-based index)."""
-        if not 1 <= i <= self.n:
+        if not is_int(i) or not 1 <= i <= self.n:
             raise ValueError(f"variable index {i} out of range 1..{self.n}")
         k = i - 1
         out = {}

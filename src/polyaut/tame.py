@@ -23,8 +23,8 @@ from typing import Union
 
 from .endo import Endo
 from .linalg import mat_det, mat_inverse, mat_vec
-from .poly import InconsistencyError, Poly, Record, check_dimension, is_int
-from .textio import _read_json, parse_poly, render_poly
+from .poly import InconsistencyError, Poly, Record, _brief, check_dimension, is_int
+from .textio import _read_json, _read_rational, parse_poly, render_poly
 
 
 class Diagonal(Record):
@@ -56,7 +56,9 @@ class Elementary(Record):
         if not isinstance(self.g, Poly):
             raise ValueError("g must be a Poly")
         if not is_int(self.i) or not 1 <= self.i <= self.g.n:
-            raise ValueError(f"index {self.i} out of range for dimension {self.g.n}")
+            raise ValueError(
+                f"index {_brief(self.i)} out of range for dimension {self.g.n}"
+            )
         if any(mono[self.i - 1] != 0 for mono in self.g.terms):
             raise ValueError(f"g may not involve x{self.i}")
 
@@ -147,27 +149,30 @@ def _gen_to_json(f: Generator) -> dict:
 
 
 def _json_rational(v) -> Fraction:
-    """An exact rational from a JSON integer or a string such as "-2/3";
-    a JSON float is already rounded to binary, so it is refused."""
-    if not (is_int(v) or isinstance(v, str)):
-        raise ValueError(f"expected an integer or a rational string, got {v!r}")
-    return Fraction(v)
+    """An exact rational from a JSON integer or a string such as "-2/3"
+    (textio._read_rational); a JSON float is already rounded to binary, so
+    it is refused."""
+    if is_int(v):
+        return Fraction(v)
+    if isinstance(v, str):
+        return _read_rational(v)
+    raise ValueError(f"expected an integer or a rational string, got {_brief(v)}")
 
 
 def _json_rationals(v) -> tuple:
     if not isinstance(v, list):
-        raise ValueError(f"expected a list of rationals, got {v!r}")
+        raise ValueError(f"expected a list of rationals, got {_brief(v)}")
     return tuple(_json_rational(x) for x in v)
 
 
 def _gen_from_json(doc, n: int) -> Generator:
     if not isinstance(doc, dict) or "kind" not in doc:
-        raise ValueError(f"not a generator document: {doc!r}")
+        raise ValueError(f"not a generator document: {_brief(doc)}")
     kind = doc["kind"]
     try:
         if kind == "elementary":
             if not is_int(doc["i"]):
-                raise ValueError(f"'i' must be an integer, got {doc['i']!r}")
+                raise ValueError(f"'i' must be an integer, got {_brief(doc['i'])}")
             return Elementary(doc["i"], parse_poly(doc["g"], n))
         if kind == "diagonal":
             return Diagonal(_json_rationals(doc["c"]))
@@ -180,7 +185,7 @@ def _gen_from_json(doc, n: int) -> Generator:
         raise ValueError(f"generator document missing field {exc}") from exc
     except TypeError as exc:
         raise ValueError(f"malformed generator document: {exc}") from exc
-    raise ValueError(f"unknown generator kind {kind!r}")
+    raise ValueError(f"unknown generator kind {_brief(kind)}")
 
 
 # ----------------------------------------------------------------------

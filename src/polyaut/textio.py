@@ -24,7 +24,7 @@ import re
 from fractions import Fraction
 
 from .endo import Endo
-from .poly import Poly, Record, check_dimension
+from .poly import Poly, Record, _brief, check_dimension
 
 
 class ParseError(ValueError):
@@ -156,7 +156,7 @@ class _Parser:
                     f"variable {name} out of range for dimension {self.n}", pos
                 )
             return alias
-        raise ParseError(f"unknown variable {name!r}", pos)
+        raise ParseError(f"unknown variable {_brief(name)}", pos)
 
 
 def _too_deep(p: _Parser) -> ParseError:
@@ -174,7 +174,7 @@ def parse_poly(text: str, n: int) -> Poly:
         raise _too_deep(p) from None
     kind, val, pos = p.peek()
     if kind != "end":
-        raise ParseError(f"unexpected {val!r} after expression", pos)
+        raise ParseError(f"unexpected {_brief(val)} after expression", pos)
     return result
 
 
@@ -189,7 +189,7 @@ def parse_map(text: str, n: int) -> Endo:
         raise _too_deep(p) from None
     kind, val, pos = p.peek()
     if kind != "end":
-        raise ParseError(f"unexpected {val!r} after expression", pos)
+        raise ParseError(f"unexpected {_brief(val)} after expression", pos)
     if len(coords) != n:
         raise ParseError(
             f"expected {n} comma-separated coordinates, got {len(coords)}", pos
@@ -252,7 +252,7 @@ class MapDocument(Record):
         for field in ("name", "notes"):
             value = getattr(self, field)
             if value is not None and not isinstance(value, str):
-                raise ValueError(f"'{field}' must be a string, got {value!r}")
+                raise ValueError(f"'{field}' must be a string, got {_brief(value)}")
 
     @classmethod
     def from_endo(cls, g: Endo, name: str | None = None,
@@ -281,7 +281,7 @@ class MapDocument(Record):
             raise ValueError("map document must be a JSON object")
         unknown = set(doc) - {"n", "coords", "name", "notes"}
         if unknown:
-            raise ValueError(f"unknown map document fields: {sorted(unknown)}")
+            raise ValueError(f"unknown map document fields: {_brief(sorted(unknown))}")
         if "n" not in doc or "coords" not in doc:
             raise ValueError("map document needs 'n' and 'coords'")
         coords = doc["coords"]
@@ -292,6 +292,22 @@ class MapDocument(Record):
     @classmethod
     def from_json(cls, text: str) -> "MapDocument":
         return cls.from_json_dict(_read_json(text))
+
+
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def _read_rational(text: str) -> Fraction:
+    """A rational given as text: an optional minus sign, decimal digits,
+    and optionally a slash and a nonzero denominator, as in "-2/3".
+    Anything else is a ValueError; in particular exponent notation such as
+    "1e999999999", which Fraction would expand into all its digits."""
+    if not _RATIONAL_RE.fullmatch(text):
+        raise ValueError(f"expected a rational p or p/q, got {_brief(text)}")
+    num, _, den = text.partition("/")
+    if den and not int(den):
+        raise ValueError(f"zero denominator in {_brief(text)}")
+    return Fraction(int(num), int(den or 1))
 
 
 def _read_json(text: str):

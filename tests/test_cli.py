@@ -335,3 +335,80 @@ def test_byte_identical_output_across_runs(capsys):
     second = run(capsys, *argv)
     assert first == second
     assert first[0] == 0
+
+
+# ----------------------------------------------------------------------
+# rationals read from text: exactly p or p/q with q != 0
+
+BAD_RATIONALS = ["1/0", "-3/0", "1e999999999", "0.5", " 2", "+2", "1/-2", "", "١"]
+
+
+@pytest.mark.parametrize("text", BAD_RATIONALS)
+@pytest.mark.parametrize("field", ["c", "A", "b"])
+def test_bad_rational_in_word_document_gives_exit_3(capsys, tmp_path, field, text):
+    factor = {"kind": "diagonal", "c": [text, "1"]} if field == "c" else {
+        "kind": "affine", "A": [[text, "0"], ["0", "1"]] if field == "A" else
+        [["1", "0"], ["0", "1"]], "b": [text, "0"] if field == "b" else ["0", "0"]}
+    word = tmp_path / "word.json"
+    word.write_text(json.dumps({"n": 2, "factors": [factor]}))
+    code, out, err = run(capsys, "normal-form", "--file", str(word))
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and err.startswith("polyaut: error: ")
+
+
+@pytest.mark.parametrize("text", BAD_RATIONALS)
+def test_bad_obs3_scale_gives_exit_3(capsys, text):
+    code, out, err = run(
+        capsys, "witness-obs3", "--n", "2", "--map", "X+Y^3, Y", "--a=" + text
+    )
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and err.startswith("polyaut: error: ")
+
+
+def test_rational_strings_and_integers_are_read_exactly(capsys, tmp_path):
+    word = tmp_path / "word.json"
+    word.write_text('{"n": 2, "factors": [{"kind": "diagonal", "c": ["-6/4", 3]}]}')
+    code, out, _ = run(capsys, "normal-form", "--file", str(word))
+    assert code == 0
+    assert out.splitlines()[0] == '{"kind": "diagonal", "c": ["-3/2", "3"]}'
+    code, out, _ = run(capsys, "witness-obs3", "--n", "2", "--map", "X+Y, Y",
+                       "--a=-6/4")
+    assert code == 0
+    assert "a = -3/2, j = 2" in out
+
+
+# ----------------------------------------------------------------------
+# error lines quote at most a short piece of a value read from a document
+
+# a list nested 600 deep, spliced into the document text; nesting much
+# deeper meets the JSON reader's recursion limit under pytest, which is
+# its own error (test_deeply_nested_json_gives_exit_3)
+DEEP = "<deep>"
+LONG = "x" * 3000
+
+
+@pytest.mark.parametrize("subcommand, doc", [
+    ("parse-check", {"n": 1, "coords": ["x1"], "name": DEEP}),
+    ("parse-check", {"n": 1, "coords": ["x1"], "notes": DEEP}),
+    ("parse-check", {"n": DEEP, "coords": ["x1"]}),
+    ("parse-check", {"n": 1, "coords": ["x1"], LONG: 1}),
+    ("parse-check", {"n": 1, "coords": [LONG]}),
+    ("parse-check", {"n": 1, "coords": ["x1 " + "1" * 3000]}),
+    ("normal-form", {"n": 1, "factors": [DEEP]}),
+    ("normal-form", {"n": DEEP, "factors": []}),
+    ("normal-form", {"n": 2, "factors": [{"kind": "elementary", "i": DEEP, "g": "x2"}]}),
+    ("normal-form", {"n": 2, "factors": [{"kind": "elementary", "i": 10**3000, "g": "x2"}]}),
+    ("normal-form", {"n": 1, "factors": [{"kind": DEEP}]}),
+    ("normal-form", {"n": 1, "factors": [{"kind": "diagonal", "c": DEEP}]}),
+    ("normal-form", {"n": 1, "factors": [{"kind": "diagonal", "c": [DEEP]}]}),
+    ("normal-form", {"n": 1, "factors": [{"kind": "diagonal", "c": ["1" * 3000 + "x"]}]}),
+])
+def test_error_line_stays_short(capsys, tmp_path, subcommand, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc).replace(json.dumps(DEEP), "[" * 600 + "]" * 600))
+    code, out, err = run(capsys, subcommand, "--file", str(path))
+    assert (code, out) == (3, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and len(lines[0]) <= 200, lines[0][:300]
+    assert lines[0].startswith("polyaut: error: ")
+    assert "nested too deeply" not in lines[0]

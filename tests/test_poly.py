@@ -129,6 +129,10 @@ def test_bools_are_not_counts():
                   lambda: Poly.variable(2, 1.0)):
         with pytest.raises(ValueError):
             build()
+    # nor a variable index of a derivative
+    for index in (True, 1.5, 1.0):
+        with pytest.raises(ValueError):
+            V(2)[0].partial_derivative(index)
 
 
 def test_pow_zero_is_one():

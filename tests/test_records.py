@@ -13,7 +13,7 @@ from polyaut.locfin import LFReport, UniPoly
 from polyaut.poly import NEG_INF, Record
 from polyaut.tame import Affine, Diagonal, Elementary, NormalForm, TameWord
 from polyaut.textio import MapDocument, ParseError, parse_map, parse_poly
-from polyaut.witness import Witness
+from polyaut.witness import Witness, witness_obs3
 
 G = parse_poly("x2^2 - 1/3", 2)
 E = Elementary(1, G)
@@ -94,7 +94,8 @@ def test_records_are_immutable_and_copy():
             record.extra = 1
         # copies are rebuilt through the constructor, as for the dataclasses
         assert copy.copy(record) == record
-    for record in (D, Affine(((1, 2), (0, 1)), (0, 3)), MapDocument(1, ["x1"], "id")):
+    for record in (D, Affine(((1, 2), (0, 1)), (0, 3)), MapDocument(1, ["x1"], "id"),
+                   witness_obs3(E)):
         assert pickle.loads(pickle.dumps(record)) == record
 
 
@@ -104,10 +105,15 @@ def test_defaults_and_keywords():
     assert doc.coords == ("x1",)
     assert MapDocument(1, ["x1"], notes="n").to_json_dict() == {
         "n": 1, "coords": ["x1"], "notes": "n"}
-    w = Witness("Obs2", ID, SHEAR, ID, ID)
+    # a valid witness whose four maps all differ, so that a keyword bound to
+    # the wrong field would build an unequal (or invalid) witness
+    obs3 = witness_obs3(Elementary(1, parse_poly("x2^3", 2)))
+    maps = (obs3.target, obs3.conjugator, obs3.conjugator_inverse, obs3.diagonal)
+    assert len(set(maps)) == 4
+    w = Witness("Obs3", *maps)
     assert w.transcript == ()
-    assert w == Witness(kind="Obs2", target=ID, conjugator=SHEAR,
-                        conjugator_inverse=ID, diagonal=ID, transcript=())
+    assert w == Witness(kind="Obs3", target=maps[0], conjugator=maps[1],
+                        conjugator_inverse=maps[2], diagonal=maps[3], transcript=())
     assert Elementary(g=G, i=1) == E
     assert NormalForm([E], D).elementaries == (E,)
     # argument errors read as they did for the dataclasses

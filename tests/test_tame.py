@@ -469,6 +469,12 @@ def test_bools_are_not_indices_or_dimensions():
         TameWord((), True)
     with pytest.raises(ValueError):
         Elementary(True, Poly.variable(2, 2))
+    # nor the balancing index of an Obs3 witness (True would mean x1 here)
+    from polyaut.witness import witness_obs3
+
+    for j in (True, 1.0):
+        with pytest.raises(ValueError):
+            witness_obs3(Elementary(2, Poly.variable(2, 1)), j=j)
 
 
 def test_word_json_accepts_integers_and_rational_strings():

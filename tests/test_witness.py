@@ -1,13 +1,20 @@
 """Conjugation witness construction and independent re-verification."""
 
+import copy
+import pickle
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyaut.endo import Endo, verify_inverse_pair
 from polyaut.locfin import inverse_from_minpoly, lf_certify, UniPoly
-from polyaut.poly import Poly
+from polyaut import witness
+from polyaut.poly import InconsistencyError, Poly
 from polyaut.tame import Elementary
 from polyaut.textio import parse_map, parse_poly
 from polyaut.witness import (
@@ -173,15 +180,42 @@ def test_nagata_cross_module_consistency():
 
 
 # ----------------------------------------------------------------------
-# re-verification catches tampering
+# a Witness is checked when it is made; tampered data is refused
+
+def reference_verify(kind, target, conjugator, conjugator_inverse, diagonal):
+    """The verifier as it stood before the check moved into Witness,
+    kept as a test-only reference on the five raw fields."""
+    if kind not in ("Obs2", "Obs3", "Obs4"):
+        return False
+    maps = (target, conjugator, conjugator_inverse, diagonal)
+    if len({g.n for g in maps}) != 1:
+        return False
+    if not verify_inverse_pair(conjugator, conjugator_inverse):
+        return False
+    entries = []
+    for i, p in enumerate(diagonal.coords):
+        mono = tuple(1 if j == i else 0 for j in range(diagonal.n))
+        if set(p.terms) != {mono}:
+            return False
+        entries.append(p.terms[mono])
+    if kind == "Obs3":
+        det = Fraction(1)
+        for c in entries:
+            det *= c
+        if det != 1:
+            return False
+    n = len(entries)
+    d_inv = Endo([Poly.variable(n, i + 1) * (1 / entries[i]) for i in range(n)])
+    chain = conjugator_inverse.compose(diagonal).compose(conjugator)
+    return chain.compose(d_inv) == target
+
 
 def test_verify_rejects_tampered_diagonal():
     w = witness_obs2(E(1, "x2^2", 2))
-    tampered = Witness(
-        w.kind, w.target, w.conjugator, w.conjugator_inverse, Endo.identity(2),
-        w.transcript,
-    )
-    assert not verify_witness(tampered)
+    with pytest.raises(InconsistencyError, match=re.escape(
+            "not a witness: (C^-1 o D o C) o D^-1 does not recompose to the target")):
+        Witness(w.kind, w.target, w.conjugator, w.conjugator_inverse, Endo.identity(2),
+                w.transcript)
 
 
 def test_verify_rejects_nonunit_determinant_for_obs3():
@@ -189,26 +223,115 @@ def test_verify_rejects_nonunit_determinant_for_obs3():
     # the Obs2 witness is fine, but its diagonal has determinant 2, so the
     # same data relabeled as Obs3 must fail the determinant-one check
     assert verify_witness(w2)
-    relabeled = Witness(
-        "Obs3", w2.target, w2.conjugator, w2.conjugator_inverse, w2.diagonal,
-    )
-    assert not verify_witness(relabeled)
+    with pytest.raises(InconsistencyError,
+                       match="^not a witness: an Obs3 diagonal must have determinant 1$"):
+        Witness("Obs3", w2.target, w2.conjugator, w2.conjugator_inverse, w2.diagonal)
 
 
 def test_verify_rejects_garbage():
     w = witness_obs2(E(1, "x2^2", 2))
-    assert not verify_witness(
-        Witness("Obs5", w.target, w.conjugator, w.conjugator_inverse, w.diagonal)
-    )
-    assert not verify_witness(
-        Witness("Obs2", w.target, w.conjugator, w.conjugator, w.diagonal)
-    )
-    assert not verify_witness(
-        Witness("Obs2", w.target, w.conjugator, w.conjugator_inverse, w.target)
-    )
-    assert not verify_witness(
-        Witness("Obs2", nagata(), w.conjugator, w.conjugator_inverse, w.diagonal)
-    )
+    for fields, message in [
+        (("Obs5", w.target, w.conjugator, w.conjugator_inverse, w.diagonal),
+         "unknown kind 'Obs5'"),
+        (("Obs2", w.target, w.conjugator, w.conjugator, w.diagonal),
+         "the conjugator and its claimed inverse are not inverse"),
+        (("Obs2", w.target, w.conjugator, w.conjugator_inverse, w.target),
+         "the diagonal is not a diagonal map"),
+        (("Obs2", nagata(), w.conjugator, w.conjugator_inverse, w.diagonal),
+         "the four maps do not share one dimension"),
+    ]:
+        assert not reference_verify(*fields)
+        with pytest.raises(InconsistencyError, match="^not a witness: " + re.escape(message)):
+            Witness(*fields)
+
+
+def test_copies_and_pickles_are_checked(monkeypatch):
+    w = witness_obs3(E(1, "x2^3", 2))
+    checked = []
+    real = witness._first_failure
+    monkeypatch.setattr(witness, "_first_failure",
+                        lambda v: checked.append(v) or real(v))
+    assert copy.copy(w) == w
+    assert pickle.loads(pickle.dumps(w)) == w
+    assert len(checked) == 2
+
+
+def _fields(w):
+    return [w.kind, w.target, w.conjugator, w.conjugator_inverse, w.diagonal]
+
+
+def _change_one_coefficient(g, slot, pick, delta):
+    coords = list(g.coords)
+    terms = dict(coords[slot].terms)
+    mono = sorted(terms)[pick % len(terms)] if terms else (0,) * g.n
+    terms[mono] = terms.get(mono, 0) + delta
+    coords[slot] = Poly(g.n, terms)
+    return Endo(coords)
+
+
+@st.composite
+def witness_fields(draw):
+    """The five fields of a valid witness, tampered with or not."""
+    kind = draw(st.sampled_from(["obs2", "obs3", "obs4"]))
+    if kind == "obs4":
+        fields = _fields(witness_obs4())
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        e = random_elementary(rng, draw(st.integers(2, 3)), 4)
+        fields = _fields(witness_obs2(e) if kind == "obs2" else
+                         witness_obs3(e, a=draw(st.sampled_from([2, -3, Q(5, 2)]))))
+    tamper = draw(st.sampled_from(["none", "coefficient", "swap", "relabel", "offdiagonal"]))
+    n = fields[1].n
+    if tamper == "coefficient":
+        k = draw(st.integers(1, 4))
+        fields[k] = _change_one_coefficient(
+            fields[k], draw(st.integers(0, n - 1)), draw(st.integers(0, 20)),
+            draw(st.sampled_from([1, -1, Q(1, 2)])))
+    elif tamper == "swap":
+        fields[2], fields[3] = fields[3], fields[2]
+    elif tamper == "relabel":
+        fields[0] = "Obs3" if fields[0] == "Obs2" else "Obs2"
+    elif tamper == "offdiagonal":
+        coords = list(fields[4].coords)
+        coords[0] = coords[0] + Poly.variable(n, n) ** draw(st.integers(0, 2))
+        fields[4] = Endo(coords)
+    return fields
+
+
+@settings(deadline=None, max_examples=80)
+@given(witness_fields())
+def test_construction_agrees_with_the_reference(fields):
+    if reference_verify(*fields):
+        assert verify_witness(Witness(*fields))
+    else:
+        with pytest.raises(InconsistencyError):
+            Witness(*fields)
+
+
+def test_work_per_witness(monkeypatch):
+    # the constructors compose only what the Witness check does not imply,
+    # and export composes nothing and does not verify again
+    calls = Counter()
+    for name in ("compose", "jacobian_det"):
+        def counted(self, *args, _real=getattr(Endo, name), _name=name):
+            calls[_name] += 1
+            return _real(self, *args)
+        monkeypatch.setattr(Endo, name, counted)
+    for build, composes, jacobians in [
+        (lambda: witness_obs2(E(1, "x2^2", 2)), 4, 0),
+        (lambda: witness_obs3(E(1, "x2^3", 2)), 4, 0),
+        (witness_obs4, 5, 1),
+    ]:
+        calls.clear()
+        w = build()
+        assert (calls["compose"], calls["jacobian_det"]) == (composes, jacobians)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(witness, "_first_failure", None)
+            m.setattr(witness, "verify_witness", None)
+            doc = w.to_json_dict()
+        assert doc["verified"] is True
+        assert calls == Counter()
 
 
 def test_witness_json():
