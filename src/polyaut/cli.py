@@ -292,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
               "determinant-one conjugation witness for an elementary map")
     _add_map_flags(sub)
     sub.add_argument("--a", default="2",
-                     help="scaling parameter p or p/q, not 0 or +-1 (default 2)")
+                     help="scaling parameter p or p/q, not 0 or +-1 (default 2); "
+                     "write a negative fraction as --a=-6/4")
     sub.add_argument("--j", type=int, default=None,
                      help="balancing index (default: smallest != i)")
 

@@ -1,16 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Small dense routines for matrices given as lists of Fraction rows, plus an
-incremental sparse dependence finder used by the minimal-polynomial search,
-its counterpart over GF(p), and rational reconstruction to lift residues
+Small dense routines for matrices given as lists of Fraction rows, plus the
+incremental sparse dependence finder over GF(p) used by the
+minimal-polynomial search, and rational reconstruction to lift its residues
 back to Q.  No floating point anywhere; every pivot decision is a
-deterministic "first nonzero entry" choice: in key order over Q, in the
-order keys first appear over GF(p).
+deterministic "first nonzero entry" choice, in the order keys first appear.
 
-The GF(p) finder packs each row into one int of fixed-width fields, so a
-row operation is one big-int multiply-add instead of a loop over entries.
-A field holds 2*bits(p) + 64 bits, rounded up to whole bytes: entries
-stay below p and each operation adds less than p^2 to a field, so 2^64
+The finder packs each row into one int of fixed-width fields, so a row
+operation is one big-int multiply-add instead of a loop over entries.  A
+field holds 2*bits(p) + 64 bits, rounded up to whole bytes: entries stay
+below p and each operation adds less than p^2 to a field, so 2^64
 operations cannot carry from one field into the next.
 """
 
@@ -55,24 +54,44 @@ def mat_vec(rows, vec):
     return [sum((a * v for a, v in zip(row, vec)), Fraction(0)) for row in rows]
 
 
+class UnluckyPrime(ArithmeticError):
+    """The prime cannot decide: a vector entry has a denominator divisible
+    by it, so the vector has no image over GF(p), or a dependence found
+    mod p does not lift to the one over Q."""
+
+
 class DependenceFinder:
-    """Incremental search for a rational linear dependence among vectors.
+    """Incremental search for a linear dependence among vectors over GF(p),
+    for one prime p, on packed integer rows.
 
-    Vectors are sparse maps {key: Fraction} over an arbitrary growing key
-    space (keys only need a total order).  Vectors are fed in one at a time;
-    `add` returns None while they stay independent, and the first time the
-    new vector is a combination of the earlier ones it returns that
-    combination as {vector_index: coefficient} with coefficient 1 on the
-    newest vector.
+    Vectors are sparse maps {key: Fraction}, fed in one at a time.  `add`
+    returns None while they stay independent mod p, then the first
+    dependence as {vector_index: residue} with residue 1 on the newest
+    vector.  Entries are reduced mod p on the way in, with one cached
+    inverse per denominator; one whose denominator p divides raises
+    UnluckyPrime.  The rank mod p is at most the rank over Q (clear the
+    denominators of a rational dependence and reduce it), so the first
+    dependence found here comes no later than the rational one; whether it
+    is the same one only an exact check can tell.
 
-    Internally keeps a reduced echelon basis, each basis row paired with its
-    expression in the original vectors, so the reported dependence is exact
-    and needs no back-substitution pass.
+    A key gets the next field of a row the first time it appears with a
+    nonzero residue, and vector j's coefficient sits in field j of a
+    row's combination.  A row operation is one multiply-add,
+    work += (p - f) * row with stored fields below p; residues are taken,
+    and zeros found, once per `add`.  Rows are kept in insertion order,
+    each reduced against the rows before it only, which clears every pivot
+    of a new vector without back-substitution.  The pivot of a row is its
+    first nonzero field; the first dependence is unique, so the pivot
+    order cannot change it.
     """
 
-    def __init__(self):
-        self._rows = []  # (pivot_key, row_dict, combo_dict)
+    def __init__(self, p: int):
+        self.p = p
+        self._rows = []  # (pivot field shift, packed row, packed combination)
         self._count = 0
+        self._size = (2 * p.bit_length() + 64 + 7) // 8  # bytes per field
+        self._slots = {}  # key -> field, in first-seen order
+        self._inverses = {}  # denominator -> its inverse mod p
 
     @property
     def rank(self) -> int:
@@ -81,85 +100,6 @@ class DependenceFinder:
     @property
     def vectors_seen(self) -> int:
         return self._count
-
-    def add(self, vec):
-        work = {k: Fraction(v) for k, v in vec.items() if v}
-        combo = {self._count: Fraction(1)}
-        self._count += 1
-        for pivot, row, rcombo in self._rows:
-            f = work.get(pivot)
-            if not f:
-                continue
-            _sub_scaled(work, row, f)
-            _sub_scaled(combo, rcombo, f)
-        if not work:
-            return combo
-        pivot = min(work)
-        inv = 1 / work[pivot]
-        if inv != 1:
-            work = {k: v * inv for k, v in work.items()}
-            combo = {k: v * inv for k, v in combo.items()}
-        # keep the basis fully reduced: clear the new pivot from old rows
-        for entry in self._rows:
-            f = entry[1].get(pivot)
-            if f:
-                _sub_scaled(entry[1], work, f)
-                _sub_scaled(entry[2], combo, f)
-        self._rows.append((pivot, work, combo))
-        return None
-
-
-def _sub_scaled(target: dict, source: dict, factor: Fraction):
-    # target -= factor * source, dropping exact zeros
-    for k, v in source.items():
-        s = target.get(k, 0) - factor * v
-        if s:
-            target[k] = s
-        else:
-            target.pop(k, None)
-
-
-class UnluckyPrime(ArithmeticError):
-    """The prime cannot decide: a vector entry has a denominator divisible
-    by it, so the vector has no image over GF(p), or a dependence found
-    mod p does not lift to the one over Q."""
-
-
-class ModularDependenceFinder(DependenceFinder):
-    """DependenceFinder over GF(p) for one prime p, on packed integer rows.
-
-    Same contract as the rational finder: `add` returns None while the
-    vectors stay independent, then the first dependence as
-    {vector_index: residue} with residue 1 on the newest vector.  Entries
-    are reduced mod p on the way in, with one cached inverse per
-    denominator; one whose denominator p divides raises UnluckyPrime.
-
-    The rank over GF(p) is at most the rank over Q (clear the denominators
-    of a rational dependence and reduce it mod p), so the first dependence
-    found here comes no later than the rational one.  Whether it is the
-    same one only an exact check can tell.
-
-    Each basis row, and its combination of the original vectors, is one
-    int of fixed-width fields (the width is argued in the module
-    docstring): a key gets the next field the first time it appears with
-    a nonzero residue, and vector j's coefficient sits in field j of the
-    combination.  A row operation is one multiply-add,
-    work += (p - f) * row with stored fields below p; residues are taken,
-    and zeros found, once per `add`.
-
-    The basis rows are kept in insertion order, each reduced against the
-    rows before it only; reducing a new vector in that order clears every
-    pivot, so the back-substitution of the rational finder is not needed.
-    The pivot of a row is its first nonzero field in first-seen key order.
-    The first dependence is unique, so the pivot order cannot change it.
-    """
-
-    def __init__(self, p: int):
-        super().__init__()
-        self.p = p
-        self._size = (2 * p.bit_length() + 64 + 7) // 8  # bytes per field
-        self._slots = {}  # key -> field, in first-seen order
-        self._inverses = {}  # denominator -> its inverse mod p
 
     def add(self, vec):
         p, size, inverses, slots = self.p, self._size, self._inverses, self._slots

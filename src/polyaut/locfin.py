@@ -42,14 +42,12 @@ The elimination runs over GF(p) for a prime p just below 2^61, not over
 Q.  The rank mod p is at most the rank over Q, so the first dependence mod
 p comes no later than the true first one.  Its coefficients are lifted to
 Q by rational reconstruction, with more primes combined by the Chinese
-remainder theorem while reconstruction fails, and the lifted relation is
-returned only after the exact Fraction check that it vanishes on G.  A
-relation that vanishes exactly at an index no later than the true first
-dependence is the minimal polynomial.  Where a prime cannot decide (a
-denominator divisible by it, a dependence mod p while backfilling, primes
-that disagree on the index, or no lift that vanishes) the search runs
-again with the exact Fraction elimination, which is the reference.
-minimality_certificate uses that exact elimination alone.
+remainder theorem, and the lift is returned only after the exact Fraction
+check that it vanishes on G: a relation that vanishes at an index no
+later than the true first dependence is the minimal polynomial.  A prime
+that cannot decide gives way to the next one below it.  Primes are made
+on demand, and a bound on the minors of the iterates says when enough are
+combined (see _lift).  minimality_certificate uses the same finder.
 
 Every iterate is taken from the map's orbit (Endo.orbit), so
 certification, the vanishing and minimality checks and inversion compose
@@ -61,15 +59,12 @@ every failed check raises InconsistencyError.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
+from math import isqrt, lcm
 from typing import Sequence
 
 from .endo import Endo, linear_combination, verify_inverse_pair
-from .linalg import (
-    DependenceFinder,
-    ModularDependenceFinder,
-    UnluckyPrime,
-    rational_reconstruction,
-)
+from .linalg import DependenceFinder, UnluckyPrime, rational_reconstruction
 from .poly import NEG_INF, InconsistencyError, Poly, Rational, Record, is_int
 
 
@@ -267,13 +262,40 @@ def _finite_max(degrees):
 # ----------------------------------------------------------------------
 # certification
 
-#: Primes below 2^61 for the modular dependence search, used in this
-#: order.  One prime lifts every coefficient whose numerator and
-#: denominator stay below about 2^30; each further prime adds about 30 bits.
-_PRIMES = (
-    2**61 - 1, 2**61 - 31, 2**61 - 45, 2**61 - 229,
-    2**61 - 259, 2**61 - 283, 2**61 - 339, 2**61 - 391,
-)
+#: Bases of the Miller-Rabin test, the first twelve primes: together they
+#: decide every n below 3.3 * 10^24 (Sorenson and Webster 2015).
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+#: The primes below 2^61 found so far, largest first (see _primes).
+_FOUND = []
+
+
+def _is_prime(n: int) -> bool:
+    """Exact for odd 1 < n < 3.3 * 10^24: trial division by _BASES, then
+    Miller-Rabin to the same bases, with n - 1 = d * 2^s and d odd."""
+    if any(n % b == 0 for b in _BASES):
+        return n in _BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    # base b passes if b^d is 1 or -1, or one of its repeated squares is -1
+    return all(
+        (x := pow(b, d, n)) in (1, n - 1)
+        or any((x := x * x % n) == n - 1 for _ in range(s - 1))
+        for b in _BASES
+    )
+
+
+def _primes():
+    """The primes below 2^61, largest first, made on demand and kept in
+    _FOUND.  One prime lifts every coefficient whose numerator and
+    denominator stay below about 2^30; each further prime adds 30 bits."""
+    for i in count():
+        if i == len(_FOUND):
+            n = _FOUND[-1] - 2 if _FOUND else 2**61 - 1
+            while not _is_prime(n):
+                n -= 2
+            _FOUND.append(n)
+        yield _FOUND[i]
 
 
 def lf_certify(g: Endo, max_iter: int = 16, max_deg: int = 512) -> LFReport:
@@ -290,22 +312,19 @@ def lf_certify(g: Endo, max_iter: int = 16, max_deg: int = 512) -> LFReport:
     if not is_int(max_deg) or max_deg < 1:
         raise ValueError(f"max_deg must be a positive integer, got {max_deg!r}")
 
-    try:
-        return _search(
-            g, max_iter, max_deg, ModularDependenceFinder(_PRIMES[0]), _lifted_relation
-        )
-    except UnluckyPrime:
-        # the primes could not decide: exact elimination does
-        return _search(g, max_iter, max_deg, DependenceFinder(), _exact_relation)
+    primes = _primes()
+    for p in primes:
+        try:
+            return _search(g, max_iter, max_deg, p, primes)
+        except UnluckyPrime:
+            pass  # the next prime searches again, on the same orbit
 
 
-def _search(g: Endo, max_iter: int, max_deg: int, finder, relation) -> LFReport:
-    """The lazy-degree search for the first dependence among g's iterates.
-
-    relation(g, combo, k, m) turns the finder's dependence, found when
-    iterate k was added while examining iterate m, into the minimal
-    polynomial.
-    """
+def _search(g: Endo, max_iter: int, max_deg: int, p: int, primes) -> LFReport:
+    """The lazy-degree search for the first dependence among g's iterates
+    mod p, lifted to the minimal polynomial with the primes that follow
+    (see _lift); raises UnluckyPrime when p cannot decide."""
+    finder = DependenceFinder(p)
     tops = [_top_forms(g.orbit(0)[0])]  # per iterate
     degree_seq = [_degree(tops[0])]
     running_max = degree_seq[0]
@@ -345,8 +364,8 @@ def _search(g: Endo, max_iter: int, max_deg: int, finder, relation) -> LFReport:
             added += 1
             if combo is not None:
                 return LFReport(
-                    "CertifiedLF", relation(g, combo, k, m), tuple(degree_seq),
-                    (m, _finite_max(degree_seq)),
+                    "CertifiedLF", _lift(g, combo, k, m, p, primes),
+                    tuple(degree_seq), (m, _finite_max(degree_seq)),
                 )
 
     return LFReport(
@@ -354,56 +373,83 @@ def _search(g: Endo, max_iter: int, max_deg: int, finder, relation) -> LFReport:
     )
 
 
-def _exact_relation(g: Endo, combo: dict, k: int, m: int) -> UniPoly:
-    """The minimal polynomial from a dependence over Q; raises
-    InconsistencyError if any check fails."""
-    # only the newest iterate can close the first dependence; backfilled
-    # ones had strictly maximal degree when skipped
-    if k != m:
-        raise InconsistencyError(f"dependence during backfill at iterate {k} of {m}")
-    mu = UniPoly([combo.get(j, 0) for j in range(m + 1)])
-    if not mu.is_monic:
-        raise InconsistencyError("the first dependence is not monic")
-    if not verify_vanishing(g, mu):
-        raise InconsistencyError("certified relation failed to vanish")
-    return mu
+def _first_dependence(finder: DependenceFinder, vectors: list) -> tuple:
+    """(j, combo) for the first of vectors that the finder finds dependent
+    on the ones before it, or (len(vectors), None)."""
+    for j, vec in enumerate(vectors):
+        combo = finder.add(vec)
+        if combo is not None:
+            return j, combo
+    return len(vectors), None
 
 
-def _lifted_relation(g: Endo, combo: dict, k: int, m: int) -> UniPoly:
-    """The minimal polynomial lifted from the first prime's dependence;
-    raises UnluckyPrime when the primes cannot decide.
+def _lift(g: Endo, combo: dict, k: int, m: int, p: int, primes) -> UniPoly:
+    """The minimal polynomial from the dependence that p found when iterate
+    k was added while examining iterate m; raises UnluckyPrime when p
+    cannot decide.
 
-    Reconstruction is tried after each prime; while it fails, or its
-    result does not vanish exactly, the next prime eliminates iterates
-    0..m again and must find its first dependence at m too.
+    Further primes q eliminate iterates 0..m again, and their dependences
+    are combined with p's by CRT.  A q that divides a denominator, or finds
+    a dependence before m, is skipped; one that finds none proves p
+    unlucky.  Each time the count of combined primes is a power of two,
+    the reconstruction is returned if it vanishes exactly on g.
+
+    The stopping point.  Let D_j clear the denominators of iterate j,
+    w_j = D_j v_j its integer vector, and H = max D_j * prod_j
+    (floor|w_j| + 1).  By Hadamard's inequality, no minor of (w_0 .. w_m)
+    exceeds H.  Iterates 0..m-1 are independent mod p, so over Q.  Let M
+    be the product of the combined primes.
+      * If v_0..v_m are independent, each combined prime divides a nonzero
+        (m+1)-minor, so M <= H.
+      * Otherwise Cramer's rule, on m rows whose minor is a unit mod a
+        combined prime q, gives mu_j = D_j a_j / (D_m a_m) with m-minors
+        a_j: numerators and denominators are at most H, and q divides no
+        denominator, so the residues are mu mod M and reconstruction
+        returns mu once M > 2 H^2.
+    So a lift that does not vanish when M > 2 H^2 raises
+    InconsistencyError.  H is computed when the first reconstruction fails.
     """
     if k != m:
-        # impossible over Q (see _exact_relation)
-        raise UnluckyPrime(f"dependence mod p during backfill at iterate {k} of {m}")
+        # impossible over Q: backfilled iterates had strictly maximal
+        # degree when they were skipped
+        raise UnluckyPrime(f"dependence mod {p} during backfill at iterate {k} of {m}")
     residues = [combo.get(j, 0) for j in range(m + 1)]
-    modulus = _PRIMES[0]
-    vectors = None
-    for q in _PRIMES[1:] + (None,):
+    modulus, combined, limit = p, 1, None
+    while True:
         coeffs = [rational_reconstruction(r, modulus) for r in residues]
         if None not in coeffs:
             mu = UniPoly(coeffs)
-            if mu.is_monic and verify_vanishing(g, mu):
+            if verify_vanishing(g, mu):
                 return mu
-        if q is None:
-            raise UnluckyPrime("no lift from the primes vanishes on the map")
-        if vectors is None:
+        if limit is None:
             vectors = [_flatten(it) for it in g.orbit(m)]
-        finder = ModularDependenceFinder(q)
-        for j, vec in enumerate(vectors):
-            step = finder.add(vec)
-            if (step is None) != (j < m):
-                raise UnluckyPrime("the primes disagree on the first dependence")
-        inv = pow(modulus, -1, q)
-        residues = [
-            r + modulus * ((step.get(j, 0) - r) * inv % q)
-            for j, r in enumerate(residues)
-        ]
-        modulus *= q
+            dens = [lcm(*(v.denominator for v in vec.values())) for vec in vectors]
+            height = max(dens)
+            for vec, den in zip(vectors, dens):
+                height *= 1 + isqrt(sum(
+                    (v.numerator * (den // v.denominator)) ** 2 for v in vec.values()
+                ))
+            limit = 2 * height**2
+        if modulus > limit:
+            raise InconsistencyError("certified relation failed to vanish")
+        for q in primes:
+            try:
+                j, step = _first_dependence(DependenceFinder(q), vectors)
+            except UnluckyPrime:
+                continue
+            if step is None:
+                raise UnluckyPrime(f"iterates 0..{m} are independent mod {q}")
+            if j < m:
+                continue
+            inv = pow(modulus, -1, q)
+            residues = [
+                r + modulus * ((step.get(i, 0) - r) * inv % q)
+                for i, r in enumerate(residues)
+            ]
+            modulus *= q
+            combined += 1
+            if combined & (combined - 1) == 0:
+                break
 
 
 def verify_vanishing(g: Endo, p: UniPoly) -> bool:
@@ -414,11 +460,23 @@ def verify_vanishing(g: Endo, p: UniPoly) -> bool:
 
 def minimality_certificate(g: Endo, mu: UniPoly) -> bool:
     """True iff no relation of degree below deg(mu) vanishes on g,
-    i.e. the iterates I, g, ..., g^{o(d-1)} are linearly independent."""
-    finder = DependenceFinder()
-    return all(
-        finder.add(_flatten(it)) is None for it in g.orbit(mu.degree - 1)
-    )
+    i.e. the iterates I, g, ..., g^{o(d-1)} are linearly independent.
+
+    Independence mod a prime p implies independence over Q; a dependence
+    mod p proves False once _lift finds it vanishes exactly.  A prime that
+    cannot decide gives way to the next.
+    """
+    vectors = [_flatten(it) for it in g.orbit(mu.degree - 1)]
+    primes = _primes()
+    for p in primes:
+        try:
+            k, combo = _first_dependence(DependenceFinder(p), vectors)
+            if combo is None:
+                return True
+            _lift(g, combo, k, k, p, primes)
+            return False
+        except UnluckyPrime:
+            pass
 
 
 # ----------------------------------------------------------------------

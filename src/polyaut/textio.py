@@ -143,20 +143,17 @@ class _Parser:
     def variable_index(self, name: str, pos: int) -> int:
         m = re.fullmatch(r"[xX](\d+)", name)
         if m:
-            i = int(m.group(1))
-            if not 1 <= i <= self.n:
-                raise ParseError(
-                    f"variable {name} out of range for dimension {self.n}", pos
-                )
-            return i
-        alias = {"x": 1, "y": 2, "z": 3}.get(name.lower())
-        if alias is not None and self.n <= 3:
-            if alias > self.n:
-                raise ParseError(
-                    f"variable {name} out of range for dimension {self.n}", pos
-                )
-            return alias
-        raise ParseError(f"unknown variable {_brief(name)}", pos)
+            # past n if longer than n; int() has a digit limit
+            digits = m.group(1).lstrip("0") or "0"
+            i = int(digits) if len(digits) <= len(str(self.n)) else 0
+        elif name.lower() in ("x", "y", "z") and self.n <= 3:
+            i = "xyz".index(name.lower()) + 1
+        else:
+            raise ParseError(f"unknown variable {_brief(name)}", pos)
+        if not 1 <= i <= self.n:
+            shown = name if len(name) <= 60 else name[:56] + " ..."
+            raise ParseError(f"variable {shown} out of range for dimension {self.n}", pos)
+        return i
 
 
 def _too_deep(p: _Parser) -> ParseError:

@@ -377,6 +377,15 @@ def test_rational_strings_and_integers_are_read_exactly(capsys, tmp_path):
     assert "a = -3/2, j = 2" in out
 
 
+def test_negative_fraction_scale_is_written_with_equals_sign(capsys):
+    # after a space, argparse takes "-6/4" for an option; the help text
+    # and the README give this form
+    code, out, _ = run(capsys, "witness-obs3", "--n", "2", "--map", "X + Y^3, Y",
+                       "--a=-6/4")
+    assert code == 0
+    assert "a = -3/2, j = 2" in out
+
+
 # ----------------------------------------------------------------------
 # error lines quote at most a short piece of a value read from a document
 
@@ -394,6 +403,9 @@ LONG = "x" * 3000
     ("parse-check", {"n": 1, "coords": ["x1"], LONG: 1}),
     ("parse-check", {"n": 1, "coords": [LONG]}),
     ("parse-check", {"n": 1, "coords": ["x1 " + "1" * 3000]}),
+    # an index past the dimension; 5000 digits exceed int()'s digit limit
+    ("parse-check", {"n": 1, "coords": ["x" + "9" * 3000]}),
+    ("parse-check", {"n": 1, "coords": ["x" + "9" * 5000]}),
     ("normal-form", {"n": 1, "factors": [DEEP]}),
     ("normal-form", {"n": DEEP, "factors": []}),
     ("normal-form", {"n": 2, "factors": [{"kind": "elementary", "i": DEEP, "g": "x2"}]}),
@@ -412,3 +424,4 @@ def test_error_line_stays_short(capsys, tmp_path, subcommand, doc):
     assert len(lines) == 1 and len(lines[0]) <= 200, lines[0][:300]
     assert lines[0].startswith("polyaut: error: ")
     assert "nested too deeply" not in lines[0]
+

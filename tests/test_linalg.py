@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fraction_finder import FractionDependenceFinder
 from polyaut.linalg import (
     DependenceFinder,
-    ModularDependenceFinder,
     UnluckyPrime,
     mat_det,
     mat_inverse,
@@ -58,7 +58,7 @@ def test_inverse_is_two_sided_when_nonsingular(rows):
 
 
 # ----------------------------------------------------------------------
-# DependenceFinder: the combination it reports must actually vanish
+# the Fraction reference finder: the combination it reports must vanish
 
 def _check_combo(vectors, combo):
     keys = set().union(*(v.keys() for v in vectors if v)) if vectors else set()
@@ -67,7 +67,7 @@ def _check_combo(vectors, combo):
 
 
 def test_finder_reports_first_dependence():
-    f = DependenceFinder()
+    f = FractionDependenceFinder()
     vs = [{"a": Q(1)}, {"b": Q(1)}, {"a": Q(2), "b": Q(3)}]
     assert f.add(vs[0]) is None
     assert f.add(vs[1]) is None
@@ -76,19 +76,24 @@ def test_finder_reports_first_dependence():
     _check_combo(vs, combo)
     assert f.rank == 2
     assert f.vectors_seen == 3
+    # the library's GF(p) finder reports the same combination mod p
+    g = DependenceFinder(P61)
+    assert [g.add(v) for v in vs] == [None, None, {j: c % P61 for j, c in combo.items()}]
+    assert (g.rank, g.vectors_seen) == (2, 3)
 
 
 def test_zero_vector_depends_on_nothing():
-    f = DependenceFinder()
+    f = FractionDependenceFinder()
     combo = f.add({})
     assert combo == {0: Q(1)}
+    assert DependenceFinder(P61).add({}) == {0: 1}
 
 
 def test_finder_independent_run():
-    f = DependenceFinder()
-    for i in range(4):
-        assert f.add({i: Q(1), i + 1: Q(1)}) is None
-    assert f.rank == 4
+    for f in (FractionDependenceFinder(), DependenceFinder(P61)):
+        for i in range(4):
+            assert f.add({i: Q(1), i + 1: Q(1)}) is None
+        assert f.rank == 4
 
 
 @given(
@@ -100,7 +105,7 @@ def test_finder_independent_run():
 )
 def test_finder_combination_vanishes(vectors):
     vectors = [{k: Q(v) for k, v in vec.items() if v} for vec in vectors]
-    f = DependenceFinder()
+    f = FractionDependenceFinder()
     for vec in vectors:
         combo = f.add(vec)
         if combo is not None:
@@ -130,8 +135,8 @@ P61 = 2**61 - 1
 def test_modular_finder_combination_vanishes_mod_p(vectors, p):
     # entries have denominators up to 4, so no prime here is unlucky
     vectors = [{k: Q(v) for k, v in vec.items() if v} for vec in vectors]
-    f = ModularDependenceFinder(p)
-    exact = DependenceFinder()
+    f = DependenceFinder(p)
+    exact = FractionDependenceFinder()
     exact_first = next(
         (i for i, vec in enumerate(vectors) if exact.add(vec) is not None), None
     )
@@ -230,7 +235,7 @@ POOL_ENTRIES = st.fractions(min_value=-20, max_value=20, max_denominator=15)
 def test_packed_finder_matches_dict_rows(vectors, p):
     # every add gives the same dependence, None or UnluckyPrime, and the
     # rank agrees throughout, also after a dependence or an unlucky vector
-    packed, reference = ModularDependenceFinder(p), _DictRowModularFinder(p)
+    packed, reference = DependenceFinder(p), _DictRowModularFinder(p)
     for vec in vectors:
         assert _outcome(packed, vec) == _outcome(reference, vec)
         assert packed.rank == reference.rank
@@ -244,7 +249,7 @@ def test_packed_finder_carries_at_full_width():
     vectors = [
         {(0, (k,)): Q(p - 1) for k in range(dim) if k != i} for i in range(dim)
     ]
-    packed, reference = ModularDependenceFinder(p), _DictRowModularFinder(p)
+    packed, reference = DependenceFinder(p), _DictRowModularFinder(p)
     for vec in vectors:
         assert packed.add(vec) is None
         assert reference.add(vec) is None
@@ -257,7 +262,7 @@ def test_packed_finder_carries_at_full_width():
 
 
 def test_modular_finder_rejects_denominator_divisible_by_p():
-    f = ModularDependenceFinder(3)
+    f = DependenceFinder(3)
     assert f.add({"a": Q(1, 2)}) is None
     with pytest.raises(UnluckyPrime):
         f.add({"a": Q(1), "b": Q(5, 6)})

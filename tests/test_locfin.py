@@ -1,17 +1,19 @@
 """Local finiteness certification, minimal polynomials, inversion,
 reversal, conjugation."""
 
+import itertools
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import samplers
+from fraction_finder import FractionDependenceFinder
 from polyaut import locfin
 from polyaut.endo import Endo, verify_inverse_pair
-from polyaut.linalg import DependenceFinder
 from polyaut.locfin import (
     InconsistencyError,
     LFReport,
@@ -362,23 +364,62 @@ def test_conjugation_degree_bound_and_lf_preservation():
 # ----------------------------------------------------------------------
 # the modular search agrees with exact elimination
 
+P0, P1 = 2**61 - 1, 2**61 - 31  # the first two primes the library uses
+SMALL_PRIMES = (3, 5, 7)
+
+
+def _exact_relation(g, combo, k, m, p, primes):
+    """The minimal polynomial from a dependence over Q, checked exactly:
+    the reference for locfin._lift."""
+    # only the newest iterate can close the first dependence; backfilled
+    # ones had strictly maximal degree when skipped
+    if k != m:
+        raise InconsistencyError(f"dependence during backfill at iterate {k} of {m}")
+    mu = UniPoly([combo.get(j, 0) for j in range(m + 1)])
+    if not mu.is_monic:
+        raise InconsistencyError("the first dependence is not monic")
+    if not verify_vanishing(g, mu):
+        raise InconsistencyError("certified relation failed to vanish")
+    return mu
+
+
 def _exact_reference(g, max_iter=16, max_deg=512):
-    """lf_certify's search with the Fraction finder alone."""
-    return locfin._search(
-        g, max_iter, max_deg, DependenceFinder(), locfin._exact_relation
-    )
+    """lf_certify's lazy search with the Fraction finder and the exact
+    relation patched in, so no prime takes part."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(locfin, "DependenceFinder", lambda p: FractionDependenceFinder())
+        mp.setattr(locfin, "_lift", _exact_relation)
+        return locfin._search(g, max_iter, max_deg, None, None)
 
 
-def _counting_fraction_finder(mp):
-    calls = []
-    add = DependenceFinder.add
+def _exact_minimality(g, degree):
+    """True iff iterates 0..degree-1 are independent, by Fraction elimination."""
+    finder = FractionDependenceFinder()
+    return all(finder.add(locfin._flatten(it)) is None for it in g.orbit(degree - 1))
 
-    def counted(self, vec):
-        calls.append(len(vec))
-        return add(self, vec)
 
-    mp.setattr(DependenceFinder, "add", counted)
-    return calls
+def _primes_first(mp, first):
+    """Make the library take the given primes first, then its own."""
+    real = locfin._primes
+
+    def primes():
+        yield from first
+        yield from real()
+
+    mp.setattr(locfin, "_primes", primes)
+
+
+def _recording_finders(mp):
+    """The list of primes the library's finders are built with, in order."""
+    built = []
+    real = locfin.DependenceFinder
+
+    def record(p):
+        built.append(p)
+        return real(p)
+
+    mp.setattr(locfin, "DependenceFinder", record)
+    return built
 
 
 SAMPLED_MAPS = {
@@ -391,54 +432,123 @@ SAMPLED_MAPS = {
 }
 
 
-@pytest.mark.parametrize("primes", [None, (3, 5, 7)])
+@pytest.mark.parametrize("primes", [None, SMALL_PRIMES])
 @given(st.sampled_from(sorted(SAMPLED_MAPS)), st.integers(min_value=0, max_value=2**32))
 @settings(deadline=None, max_examples=60)
 def test_modular_certify_matches_fraction_finder(primes, kind, seed):
-    # with (3, 5, 7), unlucky primes, vanishing denominators and the
-    # fallback to exact elimination all occur
+    # with 3, 5 and 7 first, unlucky primes, vanishing denominators,
+    # skipped CRT primes and rotation to the next prime all occur
     with pytest.MonkeyPatch.context() as mp:
         if primes is not None:
-            mp.setattr(locfin, "_PRIMES", primes)
+            _primes_first(mp, primes)
         g = SAMPLED_MAPS[kind](random.Random(seed))
         report = lf_certify(g)
     assert report == _exact_reference(g)
 
 
+@pytest.mark.parametrize("primes", [None, SMALL_PRIMES])
+@given(
+    st.sampled_from(sorted(SAMPLED_MAPS)),
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=1, max_value=4),
+)
+@settings(deadline=None, max_examples=60)
+def test_minimality_matches_fraction_elimination(primes, kind, seed, d):
+    # degree d, and for a certified map deg(mu) (True) and deg(mu) + 1
+    # (False): minimality_certificate reads only the degree of its argument
+    g = SAMPLED_MAPS[kind](random.Random(seed))
+    mu = lf_certify(g).minimal_polynomial
+    degrees = [d] if mu is None else [d, mu.degree, mu.degree + 1]
+    with pytest.MonkeyPatch.context() as mp:
+        if primes is not None:
+            _primes_first(mp, primes)
+        got = [minimality_certificate(g, UniPoly([0] * e + [1])) for e in degrees]
+    assert got == [_exact_minimality(g, e) for e in degrees]
+    if mu is not None:
+        assert got[1:] == [True, False]
+
+
 def test_certify_lifts_through_crt_without_fallback(monkeypatch):
     # a0 = (10^6+3)(10^6+7) ~ 10^12 is beyond what one 61-bit prime lifts
     # (|numerator|, denominator <= 2^30), so a second prime is combined in
-    calls = _counting_fraction_finder(monkeypatch)
+    built = _recording_finders(monkeypatch)
     a, b = 10**6 + 3, 10**6 + 7
     g = parse_map(f"{a}*x1, {b}*x2", 2)
     r = lf_certify(g)
     assert r.minimal_polynomial == UniPoly([a * b, -(a + b), 1])
-    assert calls == []
+    assert built == [P0, P1]
     assert r == _exact_reference(g)
 
 
 @pytest.mark.parametrize(
-    "text, n, primes, falls_back",
+    "text, n, primes, reaches_real_primes",
     [
-        ("1/3*x1", 1, (3,), True),  # a denominator vanishes mod 3
-        # iterate 1 is the identity mod 3: a dependence while backfilling
+        # a denominator vanishes mod 3: the search rotates to P0
+        ("1/3*x1", 1, (3,), True),
+        # iterate 1 is the identity mod 3: a dependence while backfilling,
+        # so the search rotates to P0
         ("x1 + 3*x2^2, x2", 2, (3,), True),
-        # mod 5, -2 does not lift; mod 3 the first dependence comes earlier
+        # mod 5, -2 does not lift; 3 finds an earlier dependence and is
+        # skipped, and P0 is combined with 5
         ("x1 + 3*x2^2, x2", 2, (5, 3), True),
-        # mod 3, T^2 - 3T + 2 lifts to T^2 - 1, which does not vanish ...
+        # mod 3, T^2 - 3T + 2 lifts to T^2 - 1, which does not vanish, so
+        # P0 is combined with 3 ...
         ("x1, 2*x2", 2, (3,), True),
-        # ... and with 7 combined in, the lift is right
+        # ... and with 7 combined in instead, the lift is right
         ("x1, 2*x2", 2, (3, 7), False),
+        # T^2 - 16/5 T + 3/5 is found mod 3 and needs a second prime; 5
+        # divides a denominator, and mod 7 the map is 3 times the identity,
+        # an earlier dependence, so both are skipped for P0
+        ("1/5*x1, 3*x2", 2, (3, 5, 7), True),
     ],
 )
-def test_unlucky_primes(monkeypatch, text, n, primes, falls_back):
-    calls = _counting_fraction_finder(monkeypatch)
-    monkeypatch.setattr(locfin, "_PRIMES", primes)
+def test_unlucky_primes(monkeypatch, text, n, primes, reaches_real_primes):
+    built = _recording_finders(monkeypatch)
+    _primes_first(monkeypatch, primes)
     g = parse_map(text, n)
     r = lf_certify(g)
     assert r.certified
-    assert bool(calls) == falls_back
+    assert built == [*primes, *([P0] if reaches_real_primes else [])]
     assert r == _exact_reference(g)
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    [
+        # coefficients beyond what eight 61-bit primes lift
+        ("(2^300)*x1", 1),
+        ("10^80*x1, (10^80+1)*x2", 2),
+        ("3^200*x1 + x2^2, x2", 2),
+        # the first prime divides the denominator
+        (f"1/{P0}*x1", 1),
+    ],
+)
+def test_tall_and_unlucky_inputs_certify(text, n):
+    g = parse_map(text, n)
+    r = lf_certify(g)
+    assert r.certified
+    assert r == _exact_reference(g)
+    assert minimality_certificate(g, r.minimal_polynomial)
+
+
+def test_primes_are_made_on_demand(monkeypatch):
+    # the first eight are the primes just below 2^61, largest first
+    assert list(itertools.islice(locfin._primes(), 8)) == [
+        2**61 - 1, 2**61 - 31, 2**61 - 45, 2**61 - 229,
+        2**61 - 259, 2**61 - 283, 2**61 - 339, 2**61 - 391,
+    ]
+    # the test agrees with trial division on small odd numbers
+    assert [n for n in range(3, 2000, 2) if locfin._is_prime(n)] == [
+        n for n in range(3, 2000, 2) if all(n % d for d in range(2, isqrt(n) + 1))
+    ]
+    # and on pseudoprimes: Carmichael numbers, 3215031751 (a strong
+    # pseudoprime to the bases 2 to 7) and 3825123056546413051 (2 to 23)
+    for n in (561, 41041, 825265, 3215031751, 3825123056546413051):
+        assert not locfin._is_prime(n)
+    # primes found once are not tested again
+    found = list(itertools.islice(locfin._primes(), 12))
+    monkeypatch.setattr(locfin, "_is_prime", None)
+    assert list(itertools.islice(locfin._primes(), 12)) == found
 
 
 # ----------------------------------------------------------------------

@@ -49,6 +49,15 @@ def test_aliases_rejected_in_high_dimension():
     assert p == Poly.variable(4, 1) + Poly.variable(4, 4)
 
 
+def test_variable_index_is_read_by_value():
+    # leading zeros do not count, however many; 5001 digits would exceed
+    # the digit limit of int()
+    x1, x4 = Poly.variable(4, 1), Poly.variable(4, 4)
+    assert parse_poly("x04 + x" + "0" * 5000 + "1", 4) == x1 + x4
+    with pytest.raises(ParseError, match="variable x010 out of range"):
+        parse_poly("x010", 4)
+
+
 def test_parse_zero():
     assert parse_poly("0", 3) == Poly.zero(3)
 
