@@ -403,9 +403,6 @@ LONG = "x" * 3000
     ("parse-check", {"n": 1, "coords": ["x1"], LONG: 1}),
     ("parse-check", {"n": 1, "coords": [LONG]}),
     ("parse-check", {"n": 1, "coords": ["x1 " + "1" * 3000]}),
-    # an index past the dimension; 5000 digits exceed int()'s digit limit
-    ("parse-check", {"n": 1, "coords": ["x" + "9" * 3000]}),
-    ("parse-check", {"n": 1, "coords": ["x" + "9" * 5000]}),
     ("normal-form", {"n": 1, "factors": [DEEP]}),
     ("normal-form", {"n": DEEP, "factors": []}),
     ("normal-form", {"n": 2, "factors": [{"kind": "elementary", "i": DEEP, "g": "x2"}]}),
@@ -414,6 +411,9 @@ LONG = "x" * 3000
     ("normal-form", {"n": 1, "factors": [{"kind": "diagonal", "c": DEEP}]}),
     ("normal-form", {"n": 1, "factors": [{"kind": "diagonal", "c": [DEEP]}]}),
     ("normal-form", {"n": 1, "factors": [{"kind": "diagonal", "c": ["1" * 3000 + "x"]}]}),
+    # an index past the dimension; 5000 digits exceed int()'s digit limit
+    ("parse-check", {"n": 1, "coords": ["x" + "9" * 3000]}),
+    ("parse-check", {"n": 1, "coords": ["x" + "9" * 5000]}),
 ])
 def test_error_line_stays_short(capsys, tmp_path, subcommand, doc):
     path = tmp_path / "doc.json"
