@@ -12,7 +12,9 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Sequence
 
-from .poly import Poly, Rational, _convolve, _divide_packed, _pack, _shifts, _unpack, is_int
+from .poly import (
+    Poly, Rational, _convolve, _divide_packed, _pack, _shifts, _substitute, _unpack, is_int,
+)
 
 
 class Endo:
@@ -76,7 +78,7 @@ class Endo:
         """Composition self o other (other is applied first)."""
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-        return Endo([p.substitute(other.coords) for p in self.coords])
+        return Endo(_substitute(self.coords, other.coords))
 
     def iterate(self, m: int) -> "Endo":
         """The m-th iterate; iterate(0) is the identity.  Taken from the

@@ -13,10 +13,10 @@ step and the iterates themselves become astronomically large long before
 the degree budget trips.  The certifier therefore keeps one tuple of top
 forms (leading homogeneous parts) per iterate and reads the degrees off
 it.  The top forms of G^{om} come from those of G^{o(m-1)} by one
-substitution per coordinate, exact as long as no cancellation occurs in
-the top degree.  Full iterates live only in the map's orbit, composed on
-demand and each checked against the degrees its top forms predicted.  Two
-facts make this sound:
+substitution of the top forms into all coordinates at once, exact as long
+as no cancellation occurs in the top degree.  Full iterates live only in
+the map's orbit, composed on demand and each checked against the degrees
+its top forms predicted.  Two facts make this sound:
 
   * an iterate whose degree strictly exceeds every earlier iterate's
     degree cannot take part in a first linear dependence (compare top
@@ -65,7 +65,7 @@ from typing import Sequence
 
 from .endo import Endo, linear_combination, verify_inverse_pair
 from .linalg import DependenceFinder, UnluckyPrime, rational_reconstruction
-from .poly import NEG_INF, InconsistencyError, Poly, Rational, Record, is_int
+from .poly import NEG_INF, InconsistencyError, Poly, Rational, Record, _substitute, is_int
 
 
 class UniPoly:
@@ -177,11 +177,6 @@ class LFReport(Record):
             },
         }
 
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_json_dict())
-
 
 # ----------------------------------------------------------------------
 # lazy iterate bookkeeping: top forms only, full iterates in g's orbit
@@ -201,14 +196,15 @@ def _compose_leading(g: Endo, tops: tuple):
     Coordinate i of the composition is g_i(h_1, ..., h_n); a monomial
     c*X^alpha contributes degree sum(alpha_j * deg h_j), and only the
     monomials of maximal degree reach the top.  Their sum, with each h_j
-    replaced by its top form, is one Poly.substitute; a nonzero sum of
-    products of forms of degree d is homogeneous of degree d, so it is the
-    top form.  Returns None when a nonempty selection substitutes to zero
-    (the candidate tops cancel, the true degree is smaller and only full
-    composition can tell).
+    replaced by its top form, is a substitution; a nonzero sum of products
+    of forms of degree d is homogeneous of degree d, so it is the top
+    form.  All coordinates' selections are substituted in one call, which
+    packs the tops once.  Returns None when a nonempty selection
+    substitutes to zero (the candidate tops cancel, the true degree is
+    smaller and only full composition can tell).
     """
     degrees = [t.total_degree() for t in tops]
-    out = []
+    selected = []
     for gi in g.coords:
         best, top = NEG_INF, {}  # the terms of maximal degree under h
         for mono, c in gi.terms.items():
@@ -224,11 +220,11 @@ def _compose_leading(g: Endo, tops: tuple):
                     best, top = d, {mono: c}
                 elif d == best:
                     top[mono] = c
-        form = Poly._raw(g.n, top).substitute(tops)
-        if top and form.is_zero:
-            return None
-        out.append(form)
-    return tuple(out)
+        selected.append(Poly._raw(g.n, top))
+    forms = _substitute(selected, tops)
+    if any(sel and not form for sel, form in zip(selected, forms)):
+        return None
+    return tuple(forms)
 
 
 def _materialize(g: Endo, tops: list, composed: int, k: int) -> int:

@@ -15,14 +15,16 @@ The zero polynomial is the empty map.  All coefficients are
 polynomial identity testing is reliable.  Values are immutable after
 construction; all operations build new objects.
 
-Every product (`Poly.__mul__`, and the powers and partial products of
-`Poly.substitute`) goes through one integer kernel, `_convolve`: for the
-length of one product each operand becomes integer numerators over one
-common denominator, keyed by its exponent tuple packed into a single int
-(after Monagan and Pearce, CASC 2007), so the inner loop adds ints and
-multiplies ints.  The result is unpacked once, back into the canonical
-map above.  A one-term factor skips the kernel.  Exact division (in
-`Poly.divide_exact` and the determinant in `endo`) shares the packing:
+Every product goes through one integer kernel, `_convolve`: those of
+`Poly.__mul__`, and the powers and prefix products of `_substitute`, the
+one substitution routine, which packs its arguments once for a list of
+polynomials (`Poly.substitute` passes one, `Endo.compose` a whole map).
+For the length of one product each operand becomes integer numerators
+over one common denominator, keyed by its exponent tuple packed into a
+single int (after Monagan and Pearce, CASC 2007), so the inner loop adds
+ints and multiplies ints.  The result is unpacked once, back into the
+canonical map above.  A one-term factor skips the kernel.  Exact division
+(in `Poly.divide_exact` and the determinant in `endo`) shares the packing:
 `_divide_packed`.  Packing lives only inside these kernels; `terms` stays
 the canonical {exponent tuple: Fraction} map.
 
@@ -39,7 +41,7 @@ import reprlib
 from fractions import Fraction
 from itertools import groupby
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, lshift, mul
 from typing import Mapping, Sequence, Union
 
@@ -132,6 +134,12 @@ class Record:
         # copy and pickle rebuild through the constructor, since fields
         # cannot be assigned afterwards
         return type(self), self._fields()
+
+    def to_json(self) -> str:
+        """to_json_dict as one line of JSON, for records that define it."""
+        import json
+
+        return json.dumps(self.to_json_dict())
 
 
 def monomial_degree(mono: Monomial) -> int:
@@ -371,66 +379,7 @@ class Poly:
         The args may live in a different dimension m; the result then has
         dimension m.  Raises ValueError if the argument count is not n.
         """
-        args = list(args)
-        if len(args) != self.n:
-            raise ValueError(f"expected {self.n} substitution arguments, got {len(args)}")
-        m = args[0].n
-        for q in args:
-            if q.n != m:
-                raise ValueError("substitution arguments have mixed dimensions")
-        if not self.terms:
-            return Poly.zero(m)
-        last = self.n - 1
-        max_exp = list(map(max, zip(*self.terms)))
-        # one field width for the arguments, their powers and every
-        # partial product: none exceeds the degree of the result
-        degs = [max(q.total_degree(), 0) for q in args]
-        shifts = _shifts(m, max(sum(map(mul, mono, degs)) for mono in self.terms))
-        # each argument as numerators over its own denominator, then its
-        # powers; every term goes over the one common denominator
-        # lcm(coefficient denominators) * prod L_k^max_exp[k]
-        powers, scales = [], []
-        for q, top in zip(args, max_exp):
-            pw, lk = [{0: 1}], 1
-            if top:
-                packed, lk = _pack(q.terms, shifts)
-                pw.append(packed)
-                for _ in range(top - 1):
-                    pw.append(_convolve(pw[-1], packed))
-            powers.append(pw)
-            scales.append([lk ** (top - e) for e in range(top + 1)])
-        lc = lcm(*(c.denominator for c in self.terms.values()))
-        denominator = lc
-        for sc in scales:
-            denominator *= sc[0]
-        # Horner-style in the last variable: per prefix (the other
-        # exponents), sum the scaled powers of the last argument, then one
-        # product with the prefix's product.  Sorted prefixes share their
-        # leading factors through a stack of partial products.
-        out: dict = {}
-        stack = [{0: 1}]
-        prev = ()
-        for prefix, group in groupby(
-            sorted(self.terms.items()), key=lambda kv: kv[0][:last]
-        ):
-            inner: dict = {}
-            get = inner.get
-            for mono, c in group:
-                s = c.numerator * (lc // c.denominator)
-                for sc, e in zip(scales, mono):
-                    s *= sc[e]
-                for key, v in powers[last][mono[last]].items():
-                    inner[key] = get(key, 0) + s * v
-            j = 0
-            while j < len(prev) and prev[j] == prefix[j]:
-                j += 1
-            del stack[j + 1:]
-            for k in range(j, last):
-                e = prefix[k]
-                stack.append(_convolve(stack[-1], powers[k][e]) if e else stack[-1])
-            prev = prefix
-            _convolve(stack[-1], inner, out)
-        return Poly._raw(m, _unpack(out, denominator, shifts))
+        return _substitute((self,), args)[0]
 
     # ------------------------------------------------------------------
     # exact division
@@ -449,6 +398,74 @@ class Poly:
         b = {k: v // content for k, v in b.items()}
         q = {k: v * lb for k, v in _divide_packed(a, b, shifts, da).items()}
         return Poly._raw(self.n, _unpack(q, la * content, shifts))
+
+
+# ----------------------------------------------------------------------
+# substitution
+
+def _substitute(polys: Sequence[Poly], args: Sequence[Poly]) -> list:
+    """[p.substitute(args) for p in polys], for polys of one dimension n.
+
+    The arguments are checked, packed and raised to their powers once for
+    the whole list, up to the largest exponent over all the polys, in one
+    field width; then each poly takes its own Horner pass.
+    """
+    n = polys[0].n
+    args = list(args)
+    if len(args) != n:
+        raise ValueError(f"expected {n} substitution arguments, got {len(args)}")
+    m = args[0].n
+    for q in args:
+        if q.n != m:
+            raise ValueError("substitution arguments have mixed dimensions")
+    monos = [mono for p in polys for mono in p.terms]
+    if not monos:
+        return [Poly.zero(m) for _ in polys]
+    last = n - 1
+    max_exp = list(map(max, zip(*monos)))
+    # one field width for the arguments, their powers and every
+    # partial product: none exceeds the degree of the largest result
+    degs = [max(q.total_degree(), 0) for q in args]
+    shifts = _shifts(m, max(sum(map(mul, mono, degs)) for mono in monos))
+    # each argument as numerators over its own denominator, then its
+    # powers; every term of a poly goes over the one common denominator
+    # lcm(its coefficient denominators) * prod L_k^max_exp[k]
+    powers, scales = [], []
+    for q, top in zip(args, max_exp):
+        pw, lk = [{0: 1}], 1
+        if top:
+            packed, lk = _pack(q.terms, shifts)
+            pw.append(packed)
+            for _ in range(top - 1):
+                pw.append(_convolve(pw[-1], packed))
+        powers.append(pw)
+        scales.append([lk ** (top - e) for e in range(top + 1)])
+    scale = prod(sc[0] for sc in scales)
+    results = []
+    for p in polys:  # a zero p has no prefix and comes out zero
+        lc = lcm(*(c.denominator for c in p.terms.values()))
+        # Horner-style in the last variable: per prefix (the other
+        # exponents), sum the scaled powers of the last argument, then one
+        # product with the prefix's product of powers.
+        out: dict = {}
+        for prefix, group in groupby(
+            sorted(p.terms.items()), key=lambda kv: kv[0][:last]
+        ):
+            inner: dict = {}
+            get = inner.get
+            for mono, c in group:
+                s = c.numerator * (lc // c.denominator)
+                for sc, e in zip(scales, mono):
+                    s *= sc[e]
+                for key, v in powers[last][mono[last]].items():
+                    inner[key] = get(key, 0) + s * v
+            factor = {0: 1}
+            for pw, e in zip(powers, prefix):
+                if e:
+                    factor = _convolve(factor, pw[e])
+            _convolve(factor, inner, out)
+        results.append(Poly._raw(m, _unpack(out, lc * scale, shifts)))
+    return results
 
 
 # ----------------------------------------------------------------------

@@ -116,11 +116,6 @@ class TameWord(Record):
     def to_json_dict(self) -> dict:
         return {"n": self.n, "factors": [_gen_to_json(f) for f in self.factors]}
 
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, doc) -> "TameWord":
         if not isinstance(doc, dict) or "n" not in doc or "factors" not in doc:

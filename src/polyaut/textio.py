@@ -267,11 +267,6 @@ class MapDocument(Record):
             doc["notes"] = self.notes
         return doc
 
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, doc) -> "MapDocument":
         if not isinstance(doc, dict):

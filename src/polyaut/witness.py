@@ -69,11 +69,6 @@ class Witness(Record):
             "transcript": list(self.transcript),
         }
 
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_json_dict())
-
 
 def _diagonal_entries(g: Endo):
     """The scaling vector of a diagonal automorphism, or None."""

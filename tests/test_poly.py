@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polyaut.endo import Endo
 from polyaut.poly import NEG_INF, Poly, is_int, monomial_degree
 
 
@@ -240,9 +241,9 @@ def test_substitute_values():
 
 def test_substitute_argument_validation():
     x, y = V(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected 2 substitution arguments, got 1"):
         (x + y).substitute([x])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="substitution arguments have mixed dimensions"):
         (x + y).substitute([x, Poly.variable(3, 1)])
 
 
@@ -287,12 +288,37 @@ def test_substitute_matches_per_term_reference(data, n, m):
 
 
 def test_dense_substitution_matches_per_term_reference():
-    # a dense cube times x*y: prefix products are shared and dropped at
-    # every depth, and the first prefix already has a factor at each one
+    # a dense cube times x*y: many prefixes, each with a nonzero exponent
+    # in both leading variables, so every prefix's product of powers takes
+    # powers of two arguments with different denominators
     x, y, z = V(3)
     p = (x + 2 * y - Fraction(1, 3) * z + 1) ** 3 * x * y
     args = [x * y + Fraction(1, 2), y - 2 * z, Fraction(3, 4) * x + z**2 + 3]
     assert p.substitute(args) == substitute_per_term(p, args)
+
+
+def maps(n):
+    """Maps of n coordinates, each sampled or zero: their exponents and
+    denominators differ from one another."""
+    coord = st.one_of(polys(n, max_terms=5), st.just(Poly.zero(n)))
+    return st.lists(coord, min_size=n, max_size=n).map(Endo)
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(maps(n), maps(n))))
+@example((
+    Endo([Poly(3, {(3, 1, 0): Fraction(1, 5), (0, 0, 1): 1}), Poly.zero(3),
+          Poly(3, {(0, 1, 0): Fraction(2, 7), (0, 0, 0): 1})]),
+    Endo([Poly(3, {(1, 0, 0): Fraction(1, 2), (0, 1, 0): 1}),
+          Poly(3, {(0, 2, 0): Fraction(1, 3), (0, 0, 1): -1}),
+          Poly(3, {(0, 0, 1): 1, (0, 0, 0): Fraction(3, 4)})]),
+))
+@settings(deadline=None)
+def test_compose_matches_per_term_reference(fg):
+    # compose shares the powers and scales of g's coordinates across f's
+    # coordinates, up to the largest exponent of any: beyond what each
+    # coordinate of f needs on its own
+    f, g = fg
+    assert f.compose(g) == Endo([substitute_per_term(p, g.coords) for p in f.coords])
 
 
 @given(polys(3, max_terms=6), polys(3, max_terms=6))
