@@ -13,7 +13,10 @@ elementary through it once, using the exact rewriting D o E = E~ o D.  The
 rewriting rule is taken from the composition identity itself: E~ adds
 g~ = c_i * g(X_1/c_1, ..., X_n/c_n) to slot i.  Every push is checked
 exactly in slot i, the only coordinate where the two sides can differ, and
-a failed check raises InconsistencyError, so it holds under python -O too.
+each affine expansion is checked to recompose to [A | b] as a matrix; a
+failed check raises InconsistencyError, so it holds under python -O too.
+With diagonals merged exactly, these checks certify the whole normal form,
+and the word is never composed as a map to check it.
 """
 
 from __future__ import annotations
@@ -246,8 +249,8 @@ def invert_word(w: TameWord) -> TameWord:
 # affine expansion
 
 def _transvection(n: int, i: int, j: int, c: Fraction) -> Elementary:
-    # the elementary matrix A_{i,j,c}: X_i += c*X_j
-    return Elementary(i, c * Poly.variable(n, j))
+    # the elementary matrix A_{i,j,c}: X_i += c*X_j, for a nonzero Fraction c
+    return Elementary(i, Poly._raw(n, {tuple(int(l == j - 1) for l in range(n)): c}))
 
 
 def affine_to_word(f: Affine) -> TameWord:
@@ -258,6 +261,8 @@ def affine_to_word(f: Affine) -> TameWord:
     row operation as a transvection, a zero pivot fixed by a row swap
     expanded as T_{i,j} = A_{i,j,1} o A_{j,i,-1} o A_{i,j,1} o D~ with
     D~ = -1 in slot i; whatever diagonal remains is the last factor.
+    The factors are then recomposed exactly as a matrix (_affine_matrix),
+    and InconsistencyError is raised unless they give [A | b].
     """
     n = f.n
     factors = []
@@ -287,7 +292,34 @@ def affine_to_word(f: Affine) -> TameWord:
     diag = tuple(m[k][k] for k in range(n))
     if any(v != 1 for v in diag):
         factors.append(Diagonal(diag))
+    if _affine_matrix(n, factors) != [list(col) for col in zip(*f.A)] + [list(f.b)]:
+        raise InconsistencyError("affine expansion does not recompose to [A | b]")
     return TameWord(tuple(factors), n)
+
+
+def _affine_matrix(n: int, factors) -> list:
+    """The n + 1 columns of [A | b] for the map X -> AX + b that the factors
+    compose to, or None if one has a term of degree two or more.
+
+    In homogeneous coordinates, composing with a factor on the right is a
+    column operation on [A | b], which starts as the identity in ints: a
+    diagonal scales column l by c_l, and adding a*X_l (or the constant a)
+    to slot i adds a times column i to column l (or to the last column).
+    Column i never moves, since g does not involve X_i.
+    """
+    cols = [[int(r == l) for r in range(n)] for l in range(n + 1)]
+    for f in factors:
+        if isinstance(f, Diagonal):
+            cols[:n] = [col if c == 1 else [c * v for v in col]
+                        for c, col in zip(f.c, cols)]
+            continue
+        src = cols[f.i - 1]
+        for mono, a in f.g.terms.items():
+            if sum(mono) > 1:
+                return None
+            l = mono.index(1) if any(mono) else n
+            cols[l] = [v + a * s if s else v for v, s in zip(cols[l], src)]
+    return cols
 
 
 # ----------------------------------------------------------------------
@@ -337,8 +369,11 @@ def _merge_diagonals(d1: Diagonal, d2: Diagonal) -> Diagonal:
 
 
 class NormalForm(Record):
-    """E_1 o ... o E_s o D, a tuple of Elementary and one Diagonal;
-    recomposes to the word it came from."""
+    """E_1 o ... o E_s o D, a tuple of Elementary and one Diagonal.
+
+    One made by normal_form recomposes to the word it came from: every
+    step that builds it is certified (see normal_form), so the map is
+    never composed to check it."""
 
     __slots__ = ("elementaries", "diagonal")
 
@@ -365,6 +400,17 @@ def normal_form(w: TameWord) -> NormalForm:
     diagonal into it, and pushes each elementary through it exactly once.
     Pushing through a product of diagonals gives the same g~ as pushing
     through them one at a time, since c_i * g(X/c) is multiplicative in c.
+
+    The result recomposes to w, by induction over the scan.  The expanded
+    word equals w, since affine_to_word checks that its factors recompose
+    to [A | b].  Before the scan, the empty prefix is the identity, no
+    elementaries then the identity diagonal.  If a prefix equals
+    E_1 o ... o E_m o D, then the prefix one factor longer equals
+    E_1 o ... o E_m o (D o D') when that factor is a diagonal D', because
+    merging diagonals is exact, and E_1 o ... o E_m o E~ o D when it is an
+    elementary E, because push_diagonal checks D o E = E~ o D.  A failed
+    check raises InconsistencyError, so no unchecked result is returned,
+    and the word is never composed as a map.
     """
     n = w.n
     flat = []

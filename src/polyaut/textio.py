@@ -230,37 +230,26 @@ def render_map(g: Endo) -> str:
 # the JSON map document
 
 class MapDocument(Record):
-    """A dimension n plus a tuple of n coordinate expression strings, with
-    optional name and notes strings (default None).  The expressions must
-    parse in dimension n; to_endo gives the parsed map."""
+    """A map endo (an Endo) with optional name and notes strings (default
+    None), as the JSON document {"n", "coords", "name", "notes"}.
 
-    __slots__ = ("n", "coords", "name", "notes")
+    from_json_dict validates a document and parses each coordinate once;
+    to_json_dict renders the coordinates, which parse back to the same
+    polynomials, so nothing is parsed on the way out."""
+
+    __slots__ = ("endo", "name", "notes")
     _defaults = {"name": None, "notes": None}
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(self.coords))
-        check_dimension(self.n)
-        if len(self.coords) != self.n:
-            raise ValueError(
-                f"expected {self.n} coordinate expressions, got {len(self.coords)}"
-            )
-        for expr in self.coords:
-            parse_poly(expr, self.n)
+        if not isinstance(self.endo, Endo):
+            raise ValueError(f"endo must be an Endo, got {_brief(self.endo)}")
         for field in ("name", "notes"):
             value = getattr(self, field)
             if value is not None and not isinstance(value, str):
                 raise ValueError(f"'{field}' must be a string, got {_brief(value)}")
 
-    @classmethod
-    def from_endo(cls, g: Endo, name: str | None = None,
-                  notes: str | None = None) -> "MapDocument":
-        return cls(g.n, tuple(render_poly(c) for c in g.coords), name, notes)
-
-    def to_endo(self) -> Endo:
-        return Endo([parse_poly(expr, self.n) for expr in self.coords])
-
     def to_json_dict(self) -> dict:
-        doc = {"n": self.n, "coords": list(self.coords)}
+        doc = {"n": self.endo.n, "coords": [render_poly(c) for c in self.endo.coords]}
         if self.name is not None:
             doc["name"] = self.name
         if self.notes is not None:
@@ -276,10 +265,14 @@ class MapDocument(Record):
             raise ValueError(f"unknown map document fields: {_brief(sorted(unknown))}")
         if "n" not in doc or "coords" not in doc:
             raise ValueError("map document needs 'n' and 'coords'")
-        coords = doc["coords"]
+        n, coords = doc["n"], doc["coords"]
         if not isinstance(coords, list) or not all(isinstance(c, str) for c in coords):
             raise ValueError("'coords' must be a list of strings")
-        return cls(doc["n"], tuple(coords), doc.get("name"), doc.get("notes"))
+        check_dimension(n)
+        if len(coords) != n:
+            raise ValueError(f"expected {n} coordinate expressions, got {len(coords)}")
+        endo = Endo([parse_poly(expr, n) for expr in coords])
+        return cls(endo, doc.get("name"), doc.get("notes"))
 
     @classmethod
     def from_json(cls, text: str) -> "MapDocument":

@@ -59,12 +59,10 @@ class Witness(Record):
         constructor checked it."""
         return {
             "kind": self.kind,
-            "target": MapDocument.from_endo(self.target).to_json_dict(),
-            "conjugator": MapDocument.from_endo(self.conjugator).to_json_dict(),
-            "conjugator_inverse": MapDocument.from_endo(
-                self.conjugator_inverse
-            ).to_json_dict(),
-            "diagonal": MapDocument.from_endo(self.diagonal).to_json_dict(),
+            "target": MapDocument(self.target).to_json_dict(),
+            "conjugator": MapDocument(self.conjugator).to_json_dict(),
+            "conjugator_inverse": MapDocument(self.conjugator_inverse).to_json_dict(),
+            "diagonal": MapDocument(self.diagonal).to_json_dict(),
             "verified": True,
             "transcript": list(self.transcript),
         }

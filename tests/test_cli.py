@@ -148,6 +148,30 @@ def test_parse_check_canonicalizes(capsys):
     assert out == "x1 + x2, x2\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_map_file_is_parsed_once(capsys, tmp_path, monkeypatch, fmt):
+    # each coordinate of a --file document is parsed once, on reading;
+    # output renders the map and parses nothing back
+    from polyaut import textio
+
+    calls = []
+    real = textio.parse_poly
+    monkeypatch.setattr(textio, "parse_poly",
+                        lambda text, n: calls.append(text) or real(text, n))
+    coords = ["x1 + x2^2", "x2 - 1/2", "3*x3*x1", "x4"]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 4, "coords": coords}))
+    code, out, _ = run(capsys, "parse-check", "--file", str(path), "--format", fmt)
+    assert code == 0
+    assert calls == coords
+    calls.clear()
+    code, out, _ = run(capsys, "compose", "--n", "2", "--map", "X+Y^2, Y",
+                       "--map", "Y, X", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"n": 2, "coords": ["x1^2 + x2", "x1"]}
+    assert calls == []
+
+
 # ----------------------------------------------------------------------
 # exit 1: verification false
 
@@ -248,6 +272,19 @@ def test_missing_map_gives_exit_3(capsys):
     code, _, err = run(capsys, "lf-certify", "--n", "2")
     assert code == 3
     assert "need a map" in err
+
+
+@pytest.mark.parametrize("subcommand", ["compose", "jacobian"])
+@pytest.mark.parametrize("flags, message", [
+    ([], "need a map: --map EXPRS or --file PATH"),
+    (["--map", "x1"], "--n is required with an inline --map"),
+    (["--n", "1", "--map", "x1", "--file", "m.json"], "give --map or --file, not both"),
+])
+def test_map_flags_are_checked_alike(capsys, subcommand, flags, message):
+    # compose repeats --map and --file, but loads through the same checks
+    code, out, err = run(capsys, subcommand, *flags)
+    assert (code, out) == (3, "")
+    assert err == f"polyaut: error: {message}\n"
 
 
 def test_map_and_file_together_give_exit_3(capsys, tmp_path):

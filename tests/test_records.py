@@ -28,8 +28,7 @@ def make_all():
     """One fresh instance of each record class, each with the repr its
     frozen dataclass printed."""
     return [
-        (MapDocument(2, ["x1", "x2 + x1^2"]),
-         "MapDocument(n=2, coords=('x1', 'x2 + x1^2'), name=None, notes=None)"),
+        (MapDocument(ID), f"MapDocument(endo={I}, name=None, notes=None)"),
         (LFReport("CertifiedLF", UniPoly([-1, 1]), (0, 1), (1, 1)),
          "LFReport(verdict='CertifiedLF', minimal_polynomial=UniPoly([Fraction(-1, 1), "
          "Fraction(1, 1)]), iterate_degrees=(0, 1), budget_used=(1, 1))"),
@@ -64,7 +63,7 @@ def test_different_values_and_classes_are_unequal():
         for b in records[i + 1:]:
             assert a != b
     assert Diagonal((2,)) != Diagonal((3,))
-    assert MapDocument(1, ["x1"]) != MapDocument(1, ["x1"], name="id")
+    assert MapDocument(ID) != MapDocument(ID, name="id")
     assert Witness("Obs2", ID, ID, ID, ID) != Witness("Obs2", ID, ID, ID, ID, ("x",))
     assert Diagonal((2,)) != (Fraction(2),)
 
@@ -94,17 +93,17 @@ def test_records_are_immutable_and_copy():
             record.extra = 1
         # copies are rebuilt through the constructor, as for the dataclasses
         assert copy.copy(record) == record
-    for record in (D, Affine(((1, 2), (0, 1)), (0, 3)), MapDocument(1, ["x1"], "id"),
+    for record in (D, Affine(((1, 2), (0, 1)), (0, 3)), MapDocument(ID, "id"),
                    witness_obs3(E)):
         assert pickle.loads(pickle.dumps(record)) == record
 
 
 def test_defaults_and_keywords():
-    doc = MapDocument(n=1, coords=["x1"])
+    doc = MapDocument(endo=ID)
     assert (doc.name, doc.notes) == (None, None)
-    assert doc.coords == ("x1",)
-    assert MapDocument(1, ["x1"], notes="n").to_json_dict() == {
-        "n": 1, "coords": ["x1"], "notes": "n"}
+    assert doc.endo == ID
+    assert MapDocument(ID, notes="n").to_json_dict() == {
+        "n": 2, "coords": ["x1", "x2"], "notes": "n"}
     # a valid witness whose four maps all differ, so that a keyword bound to
     # the wrong field would build an unequal (or invalid) witness
     obs3 = witness_obs3(Elementary(1, parse_poly("x2^3", 2)))
@@ -131,15 +130,19 @@ def test_defaults_and_keywords():
 
 
 @pytest.mark.parametrize("build, error, message", [
-    (lambda: MapDocument(0, []), ValueError, "dimension must be a positive integer, got 0"),
-    (lambda: MapDocument(True, ["x1"]), ValueError,
+    (lambda: MapDocument.from_json('{"n": 0, "coords": []}'), ValueError,
+     "dimension must be a positive integer, got 0"),
+    (lambda: MapDocument.from_json('{"n": true, "coords": ["x1"]}'), ValueError,
      "dimension must be a positive integer, got True"),
-    (lambda: MapDocument(2, ["x1"]), ValueError, "expected 2 coordinate expressions, got 1"),
-    (lambda: MapDocument(1, ["x2"]), ParseError, "variable x2 out of range for dimension 1"),
+    (lambda: MapDocument.from_json('{"n": 2, "coords": ["x1"]}'), ValueError,
+     "expected 2 coordinate expressions, got 1"),
+    (lambda: MapDocument.from_json('{"n": 1, "coords": ["x2"]}'), ParseError,
+     "variable x2 out of range for dimension 1"),
     (lambda: MapDocument.from_json('{"n":1,"coords":["x1"],"name":5,"notes":[1,2]}'),
      ValueError, "'name' must be a string, got 5"),
-    (lambda: MapDocument(1, ["x1"], "id", [1, 2]), ValueError,
-     "'notes' must be a string, got [1, 2]"),
+    (lambda: MapDocument.from_json('{"n":1,"coords":["x1"],"name":"id","notes":[1,2]}'),
+     ValueError, "'notes' must be a string, got [1, 2]"),
+    (lambda: MapDocument("x1, x2"), ValueError, "endo must be an Endo, got 'x1, x2'"),
     (lambda: Diagonal(()), ValueError, "diagonal needs at least one entry"),
     (lambda: Diagonal((1, 0)), ValueError, "diagonal entries must be nonzero"),
     (lambda: Elementary(1, "x2"), ValueError, "g must be a Poly"),

@@ -354,7 +354,7 @@ def test_each_elementary_is_pushed_once(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# a wrong push is caught, also under python -O
+# a wrong push or a wrong transvection is caught, also under python -O
 
 _OPTIMIZED_SCRIPT = """
 import sys
@@ -366,10 +366,14 @@ from polyaut.textio import parse_poly
 
 real = tame._scaled_addend
 tame._scaled_addend = lambda g, c, i: real(g, c, i) + 1
+tame._transvection = lambda n, i, j, c: tame.Elementary(i, (c + 1) * tame.Poly.variable(n, j))
 d = tame.Diagonal((Fraction(2), Fraction(1)))
 e = tame.Elementary(2, parse_poly("x1^2", 2))
+swap = tame.Affine(((0, 1), (1, 0)), (1, 0))
 for attempt in (lambda: tame.push_diagonal(d, e),
-                lambda: tame.normal_form(tame.TameWord((d, e), 2))):
+                lambda: tame.normal_form(tame.TameWord((d, e), 2)),
+                lambda: tame.affine_to_word(swap),
+                lambda: tame.normal_form(tame.TameWord((swap,), 2))):
     try:
         result = attempt()
     except InconsistencyError as exc:
@@ -379,15 +383,20 @@ for attempt in (lambda: tame.push_diagonal(d, e),
 """
 
 
-def test_push_check_holds_under_python_optimize():
+def _library_env():
     src = os.path.join(os.path.dirname(tame.__file__), os.pardir)
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    return dict(os.environ, PYTHONPATH=os.path.abspath(src))
+
+
+def test_push_check_holds_under_python_optimize():
     out = subprocess.run(
         [sys.executable, "-O", "-c", _OPTIMIZED_SCRIPT],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_library_env(), timeout=60,
     )
     assert out.returncode == 0, out.stderr + out.stdout
-    assert out.stdout.splitlines() == ["push identity D o E = E~ o D failed"] * 2
+    assert out.stdout.splitlines() == (
+        ["push identity D o E = E~ o D failed"] * 2
+        + ["affine expansion does not recompose to [A | b]"] * 2)
 
 
 def test_wrong_push_makes_the_cli_exit_1(monkeypatch, tmp_path, capsys):
@@ -399,6 +408,77 @@ def test_wrong_push_makes_the_cli_exit_1(monkeypatch, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "push identity" in captured.err
+
+
+SWAP = Affine(((Q(0), Q(1)), (Q(1), Q(0))), (Q(1), Q(0)))
+
+
+def test_wrong_transvection_makes_the_cli_exit_1(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(tame, "_transvection", lambda n, i, j, c: Elementary(
+        i, (c + 1) * Poly.variable(n, j)))
+    word = tmp_path / "word.json"
+    word.write_text(TameWord((SWAP,), 2).to_json())
+    assert cli.main(["normal-form", "--file", str(word)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "affine expansion does not recompose" in captured.err
+
+
+def test_affine_check_reads_the_factors():
+    # the check recomposes what the factors say, not what was meant
+    n = 2
+    word = affine_to_word(SWAP).factors
+    # the columns of [A | b] for X -> (x2 + 1, x1)
+    assert tame._affine_matrix(n, word) == [[0, 1], [1, 0], [1, 0]]
+    shear = Elementary(1, parse_poly("x2^2", n))
+    assert tame._affine_matrix(n, word + (shear,)) is None
+    assert tame._affine_matrix(n, word + (Diagonal((Q(1), Q(2))),)) == [
+        [0, 1], [2, 0], [1, 0]]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cli_normal_form_composes_no_map(monkeypatch, tmp_path, capsys, fmt):
+    def refuse(*args):
+        raise AssertionError("a map was composed")
+
+    w = TameWord((SWAP, Diagonal((Q(2), Q(-1, 3))), E(2, "x1^2 - 1", 2),
+                  random_affine(random.Random(5), 2), E(1, "x2^3", 2)), 2)
+    expected = normal_form(w).to_word().to_json_dict()
+    word = tmp_path / "word.json"
+    word.write_text(w.to_json())
+    monkeypatch.setattr(Endo, "compose", refuse)
+    monkeypatch.setattr(tame, "word_to_endo", refuse)
+    assert cli.main(["normal-form", "--file", str(word), "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        assert json.loads(out) == {**expected, "recomposition_verified": True}
+    else:
+        assert out.splitlines() == [json.dumps(f) for f in expected["factors"]] + [
+            "recomposition_verified: true"]
+
+
+def _word_of_length(rng, n, length) -> TameWord:
+    factors = ()
+    while len(factors) < length:
+        factors += random_word(rng, n, length).factors
+    return TameWord(factors[:length], n)
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 100000, "factors": []}',
+    _word_of_length(random.Random(1), 3, 30).to_json(),
+], ids=["n100000", "30-factors"])
+def test_normal_form_command_finishes(tmp_path, text):
+    # the command certifies the normal form step by step and never composes
+    # the word, so neither a wide diagonal nor a long word makes it hang
+    word = tmp_path / "word.json"
+    word.write_text(text)
+    out = subprocess.run(
+        [sys.executable, "-m", "polyaut.cli", "normal-form", "--file", str(word)],
+        capture_output=True, text=True, env=_library_env(), timeout=30,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.endswith("recomposition_verified: true\n")
 
 
 def test_jacobian_bookkeeping():

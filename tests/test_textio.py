@@ -178,26 +178,25 @@ def test_render_injective(p, q):
 # map documents
 
 def test_map_document_round_trip():
-    doc = MapDocument(2, ("x2", "x1 + x2^2"), name="henon")
-    assert doc.to_endo() == parse_map("Y, X+Y^2", 2)
-    again = MapDocument.from_json(doc.to_json())
-    assert again == doc
-    assert again.to_json() == '{"n": 2, "coords": ["x2", "x1 + x2^2"], "name": "henon"}'
+    text = '{"n": 2, "coords": ["x2", "x1 + x2^2"], "name": "henon"}'
+    doc = MapDocument.from_json(text)
+    assert doc == MapDocument(parse_map("Y, X+Y^2", 2), name="henon")
+    assert doc.to_json() == text
 
 
-def test_map_document_from_endo():
+def test_map_document_renders_endo():
     g = parse_map("Y, X+Y^2", 2)
-    doc = MapDocument.from_endo(g)
-    assert doc.coords == ("x2", "x1 + x2^2")
+    doc = MapDocument(g)
     assert doc.name is None and doc.notes is None
-    assert doc.to_endo() == g
+    assert doc.to_json_dict() == {"n": 2, "coords": ["x2", "x1 + x2^2"]}
+    assert MapDocument.from_json(doc.to_json()).endo == g
 
 
 def test_map_document_validation():
     with pytest.raises(ValueError):
-        MapDocument(2, ("x1",))
+        MapDocument.from_json('{"n": 2, "coords": ["x1"]}')
     with pytest.raises(ParseError):
-        MapDocument(2, ("x1", "x3"))
+        MapDocument.from_json('{"n": 2, "coords": ["x1", "x3"]}')
     with pytest.raises(ValueError):
         MapDocument.from_json('{"n": 2}')
     with pytest.raises(ValueError):
@@ -206,13 +205,15 @@ def test_map_document_validation():
         MapDocument.from_json("not json")
     with pytest.raises(ValueError):
         MapDocument.from_json('{"n": 2, "coords": "x1, x2"}')
+    with pytest.raises(ValueError):
+        MapDocument(["x1", "x2"])
 
 
 def test_map_document_rejects_bool_dimension():
     with pytest.raises(ValueError):
         MapDocument.from_json('{"n": true, "coords": ["x1"]}')
     with pytest.raises(ValueError):
-        MapDocument(True, ("x1",))
+        MapDocument.from_json_dict({"n": True, "coords": ["x1"]})
     with pytest.raises(ValueError):
         parse_map("x1", True)
 

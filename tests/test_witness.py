@@ -334,6 +334,18 @@ def test_work_per_witness(monkeypatch):
         assert calls == Counter()
 
 
+def test_witness_export_parses_nothing(monkeypatch):
+    # the four maps are rendered from the Endo; nothing is read back
+    from polyaut import textio
+
+    calls = []
+    monkeypatch.setattr(textio, "parse_poly", lambda *args: calls.append(args))
+    for w in (witness_obs2(E(1, "x2^2", 2)), witness_obs3(E(1, "x2^3", 2)),
+              witness_obs4()):
+        assert w.to_json_dict()["verified"] is True
+    assert calls == []
+
+
 def test_witness_json():
     w = witness_obs3(E(1, "x2^3", 2))
     doc = w.to_json_dict()
