@@ -122,27 +122,29 @@ def _cmd_jacobian(args) -> int:
     return 0
 
 
-def _print_report_text(report):
-    mu = report.minimal_polynomial
-    print(f"verdict: {report.verdict}")
-    print(f"minimal_polynomial: {mu if mu is not None else 'none'}")
-    print("iterate_degrees:", " ".join(str(d) for d in report.iterate_degrees))
-    print(
-        f"budget_used: iterations={report.budget_used[0]} "
-        f"max_degree={report.budget_used[1]}"
-    )
+def _report_output(report, fmt: str) -> int:
+    """Print an lf_certify report; 0 if it is certified, else 2."""
+    if fmt == "json":
+        _emit_json(report.to_json_dict())
+    else:
+        mu = report.minimal_polynomial
+        print(f"verdict: {report.verdict}")
+        print(f"minimal_polynomial: {mu if mu is not None else 'none'}")
+        print("iterate_degrees:", " ".join(str(d) for d in report.iterate_degrees))
+        print(
+            f"budget_used: iterations={report.budget_used[0]} "
+            f"max_degree={report.budget_used[1]}"
+        )
+    return 0 if report.certified else 2
 
 
 def _cmd_lf_certify(args) -> int:
     from .locfin import lf_certify
 
     g = _load_single_map(args)
-    report = lf_certify(g, max_iter=args.budget_iter, max_deg=args.budget_deg)
-    if args.format == "json":
-        _emit_json(report.to_json_dict())
-    else:
-        _print_report_text(report)
-    return 0 if report.certified else 2
+    return _report_output(
+        lf_certify(g, max_iter=args.budget_iter, max_deg=args.budget_deg), args.format
+    )
 
 
 def _cmd_minpoly_invert(args) -> int:
@@ -151,11 +153,7 @@ def _cmd_minpoly_invert(args) -> int:
     g = _load_single_map(args)
     report = lf_certify(g, max_iter=args.budget_iter, max_deg=args.budget_deg)
     if not report.certified:
-        if args.format == "json":
-            _emit_json(report.to_json_dict())
-        else:
-            _print_report_text(report)
-        return 2
+        return _report_output(report, args.format)
     inv = inverse_from_minpoly(g, report.minimal_polynomial)
     if args.format == "json":
         _emit_json({

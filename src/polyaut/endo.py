@@ -13,17 +13,19 @@ from math import lcm, prod
 from typing import Sequence
 
 from .poly import (
-    Poly, Rational, _convolve, _divide_packed, _pack, _shifts, _substitute, _unpack, is_int,
+    Poly, Rational, Record, _convolve, _divide_packed, _pack, _shifts, _substitute, _unpack,
+    is_int,
 )
 
 
-class Endo:
+class Endo(Record):
     """A polynomial endomorphism G = (G_1, ..., G_n) of k^n."""
 
     __slots__ = ("n", "coords", "_orbit")
+    _fields = ("coords",)
 
-    def __init__(self, coords: Sequence[Poly]):
-        coords = tuple(coords)
+    def __post_init__(self):
+        coords = tuple(self.coords)
         if not coords:
             raise ValueError("an endomorphism needs at least one coordinate")
         n = coords[0].n
@@ -34,28 +36,11 @@ class Endo:
             )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "_orbit", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Endo is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor, without the orbit
-        return Endo, (self.coords,)
+        object.__setattr__(self, "_orbit", None)  # not a field: copies drop it
 
     @classmethod
     def identity(cls, n: int) -> "Endo":
         return cls(Poly.variables(n))
-
-    # ------------------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Endo):
-            return NotImplemented
-        return self.n == other.n and self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
 
     def __repr__(self):
         return f"Endo({list(self.coords)!r})"
@@ -90,16 +75,19 @@ class Endo:
     def orbit(self, k: int) -> tuple:
         """The iterates (identity, self, ..., self^{ok}).
 
-        Each iterate is composed once per map object and kept on it, so
-        the callers that need the same iterates (certification, vanishing,
-        minimality, inversion) share them; they are freed with the map.
+        Iterate 1 is the map itself; each later iterate is composed once
+        per map object and kept on it, so the callers that need the same
+        iterates (certification, vanishing, minimality, inversion) share
+        them; they are freed with the map.
         """
         orbit = self._orbit
         if orbit is None:
             orbit = [Endo.identity(self.n)]
             object.__setattr__(self, "_orbit", orbit)
         while len(orbit) <= k:
-            orbit.append(self.compose(orbit[-1]))
+            # iterate 1 as a copy of the map, which has no orbit, so that
+            # the orbit holds no reference cycle
+            orbit.append(self.compose(orbit[-1]) if len(orbit) > 1 else Endo(self.coords))
         return tuple(orbit[:k + 1])
 
     def degree(self):
@@ -117,13 +105,14 @@ class Endo:
         return self.jacobian_matrix().det()
 
 
-class SquareMatrixPoly:
+class SquareMatrixPoly(Record):
     """A square grid of polynomials sharing one ambient dimension."""
 
     __slots__ = ("size", "rows")
+    _fields = ("rows",)
 
-    def __init__(self, rows: Sequence[Sequence[Poly]]):
-        rows = tuple(tuple(r) for r in rows)
+    def __post_init__(self):
+        rows = tuple(tuple(r) for r in self.rows)
         size = len(rows)
         if size == 0 or any(len(r) != size for r in rows):
             raise ValueError("matrix must be square and nonempty")
@@ -132,14 +121,6 @@ class SquareMatrixPoly:
             raise ValueError("matrix entries have mixed dimensions")
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SquareMatrixPoly is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, SquareMatrixPoly):
-            return NotImplemented
-        return self.rows == other.rows
 
     def det(self) -> Poly:
         """Exact symbolic determinant: one fraction-free (Bareiss)

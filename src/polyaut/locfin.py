@@ -68,21 +68,18 @@ from .linalg import DependenceFinder, UnluckyPrime, rational_reconstruction
 from .poly import NEG_INF, InconsistencyError, Poly, Rational, Record, _substitute, is_int
 
 
-class UniPoly:
+class UniPoly(Record):
     """A nonzero univariate polynomial a_0 + a_1 T + ... + a_d T^d."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Sequence[Rational]):
-        cs = [Fraction(c) for c in coeffs]
+    def __post_init__(self):
+        cs = [Fraction(c) for c in self.coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         if not cs:
             raise ValueError("the zero polynomial is not allowed here")
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniPoly is immutable")
 
     @property
     def degree(self) -> int:
@@ -107,14 +104,6 @@ class UniPoly:
         for c in reversed(self.coeffs):
             acc = acc * t + c
         return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __repr__(self):
         return f"UniPoly({list(self.coeffs)!r})"

@@ -29,10 +29,13 @@ canonical map above.  A one-term factor skips the kernel.  Exact division
 the canonical {exponent tuple: Fraction} map.
 
 Every other module imports this one, so it also holds what they all
-share: `Record`, the base of the immutable record classes, `is_int`, the
-check for counts and exponents, `check_dimension`, the one for dimensions,
-`_brief`, which quotes a value in an error message, and the error classes
-`InconsistencyError` and `VerificationError`.
+share.  `Record` is the base of every immutable value class: Poly itself,
+the maps, matrices and univariate polynomials, and the documents,
+reports, tame words and witnesses.  It gives them one constructor,
+equality, hashing, repr, and copy and pickle support.  Also shared are
+`is_int`, the check for counts and exponents, `check_dimension`, the one
+for dimensions, `_brief`, which quotes a value in an error message, and
+the error classes `InconsistencyError` and `VerificationError`.
 """
 
 from __future__ import annotations
@@ -82,15 +85,18 @@ class VerificationError(Exception):
 
 
 class Record:
-    """Base of the immutable record classes: MapDocument, LFReport, the
-    tame generators, words and normal forms, and Witness.
+    """Base of the immutable value classes: Poly, Endo, SquareMatrixPoly,
+    UniPoly, MapDocument, LFReport, the tame generators, words and normal
+    forms, and Witness.
 
-    A subclass names its fields in __slots__, in argument order, and their
-    default values in _defaults.  It gets a constructor with one parameter
-    per field, which sets the fields and then calls __post_init__; that
-    may check them and normalise one with object.__setattr__.  Records are
-    equal when they have the same class and equal fields, hash by their
-    fields, and print as Cls(field=value, ...).
+    A subclass names its constructor fields in _fields, in argument order,
+    and their default values in _defaults.  _fields defaults to __slots__,
+    which may also hold slots derived from the fields or cached.  The class
+    gets a constructor with one parameter per field, which sets the fields
+    and then calls __post_init__; that may check them, normalise one and
+    set the other slots with object.__setattr__.  Records are equal when
+    they have the same class and equal fields, hash by their fields, print
+    as Cls(field=value, ...), and copy and pickle through the constructor.
     """
 
     __slots__ = ()
@@ -100,14 +106,17 @@ class Record:
         super().__init_subclass__(**kwargs)
         # compiled once per class from its field names, as dataclasses do:
         # a real signature, and no argument binding at run time
-        fields = cls.__slots__
+        fields = cls._fields = cls.__dict__.get("_fields", cls.__slots__)
         params = ", ".join(f"{f}=_defaults[{f!r}]" if f in cls._defaults else f
                            for f in fields)
         body = "".join(f"    _setattr(self, {f!r}, {f})\n" for f in fields)
+        values = "".join(f"self.{f}, " for f in fields)
         ns = {"_setattr": object.__setattr__, "_defaults": cls._defaults}
-        exec(f"def __init__(self, {params}):\n{body}    self.__post_init__()\n", ns)
-        ns["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
-        cls.__init__ = ns["__init__"]
+        exec(f"def __init__(self, {params}):\n{body}    self.__post_init__()\n"
+             f"def _values(self):\n    return ({values})\n", ns)
+        for name in ("__init__", "_values"):
+            ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, ns[name])
 
     def __post_init__(self):
         pass
@@ -115,31 +124,35 @@ class Record:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._values() == other._values()
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._values())
 
     def __repr__(self):
-        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({args})"
 
     def __reduce__(self):
         # copy and pickle rebuild through the constructor, since fields
         # cannot be assigned afterwards
-        return type(self), self._fields()
+        return type(self), self._values()
 
     def to_json(self) -> str:
         """to_json_dict as one line of JSON, for records that define it."""
         import json
 
         return json.dumps(self.to_json_dict())
+
+    @classmethod
+    def from_json(cls, text: str):
+        """from_json_dict of one JSON document, for records that define it."""
+        from .textio import _read_json
+
+        return cls.from_json_dict(_read_json(text))
 
 
 def monomial_degree(mono: Monomial) -> int:
@@ -160,15 +173,16 @@ def _validated_terms(n: int, terms: Mapping[Monomial, Rational]) -> dict:
     return clean
 
 
-class Poly:
+class Poly(Record):
     """A sparse polynomial with exact rational coefficients."""
 
     __slots__ = ("n", "terms", "_hash")
+    _fields = ("n", "terms")
+    _defaults = {"terms": None}
 
-    def __init__(self, n: int, terms: Mapping[Monomial, Rational] | None = None):
-        check_dimension(n)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", _validated_terms(n, terms or {}))
+    def __post_init__(self):
+        check_dimension(self.n)
+        object.__setattr__(self, "terms", _validated_terms(self.n, self.terms or {}))
         object.__setattr__(self, "_hash", None)
 
     @classmethod
@@ -180,13 +194,6 @@ class Poly:
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_hash", None)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor
-        return Poly, (self.n, self.terms)
 
     # ------------------------------------------------------------------
     # constructors

@@ -27,7 +27,7 @@ from typing import Union
 from .endo import Endo
 from .linalg import mat_det, mat_inverse, mat_vec
 from .poly import InconsistencyError, Poly, Record, _brief, check_dimension, is_int
-from .textio import _read_json, _read_rational, parse_poly, render_poly
+from .textio import _read_rational, parse_poly, render_poly
 
 
 class Diagonal(Record):
@@ -128,10 +128,6 @@ class TameWord(Record):
         if not isinstance(doc["factors"], list):
             raise ValueError("'factors' must be a list")
         return cls(tuple(_gen_from_json(f, n) for f in doc["factors"]), n)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TameWord":
-        return cls.from_json_dict(_read_json(text))
 
 
 def _gen_to_json(f: Generator) -> dict:
@@ -287,7 +283,7 @@ def affine_to_word(f: Affine) -> TameWord:
         for i in range(n):
             if i != k and m[i][k] != 0:
                 c = m[i][k] / m[k][k]
-                m[i] = [a - c * b for a, b in zip(m[i], m[k])]
+                m[i] = [a - c * b if b else a for a, b in zip(m[i], m[k])]
                 factors.append(_transvection(n, i + 1, k + 1, c))
     diag = tuple(m[k][k] for k in range(n))
     if any(v != 1 for v in diag):

@@ -274,10 +274,6 @@ class MapDocument(Record):
         endo = Endo([parse_poly(expr, n) for expr in coords])
         return cls(endo, doc.get("name"), doc.get("notes"))
 
-    @classmethod
-    def from_json(cls, text: str) -> "MapDocument":
-        return cls.from_json_dict(_read_json(text))
-
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 

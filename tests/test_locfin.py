@@ -699,14 +699,14 @@ def test_each_iterate_is_composed_once_per_map(monkeypatch):
     g = parse_map("x1 + x2^2, x2 + x3^2, x3", 3)
     mu = lf_certify(g).minimal_polynomial
     assert mu.degree == 4
-    assert len(calls) == 4  # g^1 ... g^4, each once
+    assert len(calls) == 3  # g^2 ... g^4, each once; g^1 is g itself
     inverse_from_minpoly(g, mu)
-    assert len(calls) == 4 + 1  # plus one of g o inv, inv o g
+    assert len(calls) == 3 + 1  # plus one of g o inv, inv o g
     assert verify_vanishing(g, mu)
     assert minimality_certificate(g, mu)
-    assert len(calls) == 5
+    assert len(calls) == 4
     # the orbit lives on the map object, not in a module-level cache
     h = parse_map("x1 + x2^2, x2 + x3^2, x3", 3)
     assert h == g
     lf_certify(h)
-    assert len(calls) == 9
+    assert len(calls) == 7

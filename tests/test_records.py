@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from polyaut.endo import Endo
-from polyaut.locfin import LFReport, UniPoly
+from polyaut.locfin import LFReport, UniPoly, lf_certify
 from polyaut.poly import NEG_INF, Record
 from polyaut.tame import Affine, Diagonal, Elementary, NormalForm, TameWord
 from polyaut.textio import MapDocument, ParseError, parse_map, parse_poly
@@ -93,9 +93,19 @@ def test_records_are_immutable_and_copy():
             record.extra = 1
         # copies are rebuilt through the constructor, as for the dataclasses
         assert copy.copy(record) == record
+    # the value classes below the records are records too
+    values = (G, SHEAR, SHEAR.jacobian_matrix(), UniPoly([-1, 0, 1]),
+              lf_certify(parse_map("2*x1, 3*x2", 2)))
+    for value in values:
+        for name in type(value).__slots__:
+            with pytest.raises(AttributeError, match="is immutable"):
+                setattr(value, name, None)
     for record in (D, Affine(((1, 2), (0, 1)), (0, 3)), MapDocument(ID, "id"),
-                   witness_obs3(E)):
-        assert pickle.loads(pickle.dumps(record)) == record
+                   witness_obs3(E)) + values:
+        for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                     copy.deepcopy(record)):
+            assert twin == record
+            assert hash(twin) == hash(record)
 
 
 def test_defaults_and_keywords():
