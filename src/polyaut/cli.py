@@ -302,6 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # exact results have any number of digits, past the interpreter's cap
+    # on int <-> str conversion (4300 digits by default, where it exists)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

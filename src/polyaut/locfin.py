@@ -47,7 +47,15 @@ check that it vanishes on G: a relation that vanishes at an index no
 later than the true first dependence is the minimal polynomial.  A prime
 that cannot decide gives way to the next one below it.  Primes are made
 on demand, and a bound on the minors of the iterates says when enough are
-combined (see _lift).  minimality_certificate uses the same finder.
+combined (see _lift).
+
+minimality_certificate(g, mu) is the same search, cut at iterate
+deg(mu) - 1 and with a degree budget no iterate reaches: the iterates
+below deg(mu) are independent iff it certifies nothing.  A dependence
+needs the degrees to stop rising (the easy half of Furter and Maubach,
+JPAA 2007: g is locally finite iff its iterate degrees are bounded), so
+on a map whose degree rises at every step, such as a Henon map, the
+check composes no iterate.
 
 Every iterate is taken from the map's orbit (Endo.orbit), so
 certification, the vanishing and minimality checks and inversion compose
@@ -109,22 +117,10 @@ class UniPoly(Record):
         return f"UniPoly({list(self.coeffs)!r})"
 
     def __str__(self):
-        pieces = []
-        for e in range(self.degree, -1, -1):
-            c = self.coeffs[e]
-            if c == 0:
-                continue
-            mag = -c if c < 0 else c
-            if e == 0:
-                body = str(mag)
-            else:
-                t = "T" if e == 1 else f"T^{e}"
-                body = t if mag == 1 else f"{mag}*{t}"
-            if not pieces:
-                pieces.append(f"-{body}" if c < 0 else body)
-            else:
-                pieces.append(f" - {body}" if c < 0 else f" + {body}")
-        return "".join(pieces)
+        from .textio import _render_terms
+
+        terms = [((e,), c) for e, c in enumerate(self.coeffs) if c]
+        return _render_terms(reversed(terms), ["T"])
 
     def to_coeff_strings(self) -> list:
         """Exact coefficients a_0..a_d as strings, constant term first."""
@@ -132,7 +128,11 @@ class UniPoly(Record):
 
     @classmethod
     def from_coeff_strings(cls, strings: Sequence[str]) -> "UniPoly":
-        return cls([Fraction(s) for s in strings])
+        """The inverse of to_coeff_strings; each string is a rational p or
+        p/q, as in the JSON documents."""
+        from .textio import _read_rational
+
+        return cls([_read_rational(s) for s in strings])
 
 
 class LFReport(Record):
@@ -347,31 +347,27 @@ def _search(g: Endo, max_iter: int, max_deg: int, p: int, primes) -> LFReport:
             composed = _materialize(g, tops, composed, k)
             combo = finder.add(_flatten(g.orbit(k)[k]))
             added += 1
-            if combo is not None:
-                return LFReport(
-                    "CertifiedLF", _lift(g, combo, k, m, p, primes),
-                    tuple(degree_seq), (m, _finite_max(degree_seq)),
-                )
+            if combo is None:
+                continue
+            if k < m:
+                # impossible over Q: backfilled iterates had strictly
+                # maximal degree when they were skipped
+                raise UnluckyPrime(
+                    f"dependence mod {p} during backfill at iterate {k} of {m}")
+            return LFReport(
+                "CertifiedLF", _lift(g, combo, m, p, primes),
+                tuple(degree_seq), (m, _finite_max(degree_seq)),
+            )
 
     return LFReport(
         "Unknown", None, tuple(degree_seq), (max_iter, _finite_max(degree_seq))
     )
 
 
-def _first_dependence(finder: DependenceFinder, vectors: list) -> tuple:
-    """(j, combo) for the first of vectors that the finder finds dependent
-    on the ones before it, or (len(vectors), None)."""
-    for j, vec in enumerate(vectors):
-        combo = finder.add(vec)
-        if combo is not None:
-            return j, combo
-    return len(vectors), None
-
-
-def _lift(g: Endo, combo: dict, k: int, m: int, p: int, primes) -> UniPoly:
-    """The minimal polynomial from the dependence that p found when iterate
-    k was added while examining iterate m; raises UnluckyPrime when p
-    cannot decide.
+def _lift(g: Endo, combo: dict, m: int, p: int, primes) -> UniPoly:
+    """The minimal polynomial from the dependence that p found when
+    _search added iterate m, the one it examines, with iterates 0..m-1
+    independent mod p; raises UnluckyPrime when p cannot decide.
 
     Further primes q eliminate iterates 0..m again, and their dependences
     are combined with p's by CRT.  A q that divides a denominator, or finds
@@ -394,10 +390,6 @@ def _lift(g: Endo, combo: dict, k: int, m: int, p: int, primes) -> UniPoly:
     So a lift that does not vanish when M > 2 H^2 raises
     InconsistencyError.  H is computed when the first reconstruction fails.
     """
-    if k != m:
-        # impossible over Q: backfilled iterates had strictly maximal
-        # degree when they were skipped
-        raise UnluckyPrime(f"dependence mod {p} during backfill at iterate {k} of {m}")
     residues = [combo.get(j, 0) for j in range(m + 1)]
     modulus, combined, limit = p, 1, None
     while True:
@@ -418,14 +410,15 @@ def _lift(g: Endo, combo: dict, k: int, m: int, p: int, primes) -> UniPoly:
         if modulus > limit:
             raise InconsistencyError("certified relation failed to vanish")
         for q in primes:
+            finder = DependenceFinder(q)
             try:
-                j, step = _first_dependence(DependenceFinder(q), vectors)
+                if any(finder.add(vec) is not None for vec in vectors[:m]):
+                    continue  # a dependence before m
+                step = finder.add(vectors[m])
             except UnluckyPrime:
                 continue
             if step is None:
                 raise UnluckyPrime(f"iterates 0..{m} are independent mod {q}")
-            if j < m:
-                continue
             inv = pow(modulus, -1, q)
             residues = [
                 r + modulus * ((step.get(i, 0) - r) * inv % q)
@@ -444,24 +437,20 @@ def verify_vanishing(g: Endo, p: UniPoly) -> bool:
 
 
 def minimality_certificate(g: Endo, mu: UniPoly) -> bool:
-    """True iff no relation of degree below deg(mu) vanishes on g,
-    i.e. the iterates I, g, ..., g^{o(d-1)} are linearly independent.
+    """True iff no relation of degree below d = deg(mu) vanishes on g,
+    i.e. the iterates I, g, ..., g^{o(d-1)} are linearly independent;
+    only the degree of mu is read.
 
-    Independence mod a prime p implies independence over Q; a dependence
-    mod p proves False once _lift finds it vanishes exactly.  A prime that
-    cannot decide gives way to the next.
+    For d >= 2 this is lf_certify's search over iterates 1..d-1, which
+    certifies a relation iff one of degree below d vanishes.  Its degree
+    budget deg(g)^(d-1) never trips, since deg g^{om} <= deg(g)^m, and it
+    skips the iterates whose degree rises, as the search always does.
     """
-    vectors = [_flatten(it) for it in g.orbit(mu.degree - 1)]
-    primes = _primes()
-    for p in primes:
-        try:
-            k, combo = _first_dependence(DependenceFinder(p), vectors)
-            if combo is None:
-                return True
-            _lift(g, combo, k, k, p, primes)
-            return False
-        except UnluckyPrime:
-            pass
+    d = mu.degree
+    if d < 2:
+        return True
+    budget = max(g.degree(), 1) ** (d - 1)
+    return not lf_certify(g, max_iter=d - 1, max_deg=budget).certified
 
 
 # ----------------------------------------------------------------------

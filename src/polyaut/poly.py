@@ -176,14 +176,12 @@ def _validated_terms(n: int, terms: Mapping[Monomial, Rational]) -> dict:
 class Poly(Record):
     """A sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("n", "terms", "_hash")
-    _fields = ("n", "terms")
+    __slots__ = ("n", "terms")
     _defaults = {"terms": None}
 
     def __post_init__(self):
         check_dimension(self.n)
         object.__setattr__(self, "terms", _validated_terms(self.n, self.terms or {}))
-        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _raw(cls, n: int, terms: dict) -> "Poly":
@@ -192,7 +190,6 @@ class Poly(Record):
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", None)
         return self
 
     # ------------------------------------------------------------------
@@ -251,11 +248,7 @@ class Poly(Record):
         return NotImplemented
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.n, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.n, frozenset(self.terms.items())))
 
     def __repr__(self):
         return f"Poly({self.n}, {dict(self.sorted_terms())!r})"

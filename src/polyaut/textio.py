@@ -9,7 +9,8 @@ Expression grammar (whitespace-insensitive):
     atom   :=  rational | variable | "(" expr ")"
 
 Variables are x1..xN (case-insensitive); when n <= 3 the aliases X, Y, Z
-are also accepted.  Rational literals are `p` or `p/q`.  Multiplication is
+are also accepted.  Rational literals are `p` or `p/q`, in the digits 0-9
+only, as in every number this module reads.  Multiplication is
 always explicit: `2*x1*x2^3`, never `2x1` (which would make `x12` ambiguous).
 `^` binds tightest, then unary minus, then `*`, then binary +/-.
 
@@ -37,7 +38,7 @@ class ParseError(ValueError):
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*^/(),]))"
+    r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*^/(),]))"
 )
 
 
@@ -141,7 +142,7 @@ class _Parser:
         )
 
     def variable_index(self, name: str, pos: int) -> int:
-        m = re.fullmatch(r"[xX](\d+)", name)
+        m = re.fullmatch(r"[xX]([0-9]+)", name)
         if m:
             # past n if longer than n; int() has a digit limit
             digits = m.group(1).lstrip("0") or "0"
@@ -201,9 +202,15 @@ def render_poly(p: Poly) -> str:
     """Deterministic rendering; terms in descending lex order."""
     if p.is_zero:
         return "0"
-    names = [f"x{i}" for i in range(1, p.n + 1)]
+    return _render_terms(p.sorted_terms(), [f"x{i}" for i in range(1, p.n + 1)])
+
+
+def _render_terms(terms, names) -> str:
+    """The nonzero (exponent tuple, Fraction) terms, in the order given, as
+    a sum: each coefficient's sign joins the terms, a coefficient 1 before
+    a monomial is left out, and names[i] is the variable of exponent i."""
     pieces = []
-    for mono, coeff in p.sorted_terms():
+    for mono, coeff in terms:
         num, den = coeff.numerator, coeff.denominator
         if num < 0:
             pieces.append(" - " if pieces else "-")

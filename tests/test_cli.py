@@ -451,6 +451,9 @@ LONG = "x" * 3000
     # an index past the dimension; 5000 digits exceed int()'s digit limit
     ("parse-check", {"n": 1, "coords": ["x" + "9" * 3000]}),
     ("parse-check", {"n": 1, "coords": ["x" + "9" * 5000]}),
+    # digits are the ASCII 0-9, as in every other number of the documents
+    ("parse-check", {"n": 1, "coords": ["\u0663"]}),
+    ("parse-check", {"n": 1, "coords": ["x1^\uff19"]}),
 ])
 def test_error_line_stays_short(capsys, tmp_path, subcommand, doc):
     path = tmp_path / "doc.json"

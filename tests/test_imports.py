@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,25 @@ def test_json_output_loads_json():
     code, *loaded = proc.stderr.strip().split("\n")[-1].split()
     assert code == "0" and "json" in loaded
     assert json.loads(proc.stdout) == {"n": 2, "coords": ["x1 + x2^2", "x2"]}
+
+
+def _digits(n):
+    # Decimal prints an int of any size; str() refuses past 4300 digits
+    return str(Decimal(n))
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["parse-check", "--n", "1", "--map", "(2^15000)*x1"], f"{_digits(2**15000)}*x1\n"),
+    (["minpoly-invert", "--n", "2", "--map", "(2^20000)*x1, 2*x2"],
+     f"minimal_polynomial: T^2 - {_digits(2**20000 + 2)}*T + {_digits(2**20001)}\n"
+     f"inverse: 1/{_digits(2**20000)}*x1, 1/2*x2\n"),
+], ids=["parse-check", "minpoly-invert"])
+def test_cli_prints_exact_results_of_any_size(argv, out):
+    # the command line lifts the interpreter's cap on int <-> str
+    # conversion in its own process, so this runs in a fresh one
+    proc = fresh(_RUN_CLI, *argv)
+    assert proc.stderr.split()[0] == "0"
+    assert proc.stdout == out
 
 
 _RESOLVE = """

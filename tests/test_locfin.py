@@ -78,6 +78,10 @@ def test_unipoly_coeff_strings_round_trip():
     p = UniPoly([Q(1, 6), Q(-5, 6), 1])
     assert p.to_coeff_strings() == ["1/6", "-5/6", "1"]
     assert UniPoly.from_coeff_strings(p.to_coeff_strings()) == p
+    # the rational grammar of the documents: no decimals, no exponents
+    for text in ("0.5", "1e3"):
+        with pytest.raises(ValueError, match="expected a rational p or p/q"):
+            UniPoly.from_coeff_strings(["1", text])
 
 
 def test_unipoly_immutable():
@@ -210,6 +214,16 @@ def test_minimality_certificate():
     over = UniPoly([-6, 11, -6, 1])
     assert verify_vanishing(diag23(), over)
     assert not minimality_certificate(diag23(), over)
+
+
+def test_minimality_on_henon_composes_nothing(monkeypatch):
+    # the degrees of (Y, X + Y^2) double at every step, so iterates 0..19
+    # are independent and none of them needs composing
+    def refuse(self, other):
+        raise AssertionError("composed an iterate")
+
+    monkeypatch.setattr(Endo, "compose", refuse)
+    assert minimality_certificate(parse_map("Y, X + Y^2", 2), UniPoly([0] * 20 + [1]))
 
 
 def test_certified_reports_self_consistent():
@@ -368,13 +382,9 @@ P0, P1 = 2**61 - 1, 2**61 - 31  # the first two primes the library uses
 SMALL_PRIMES = (3, 5, 7)
 
 
-def _exact_relation(g, combo, k, m, p, primes):
+def _exact_relation(g, combo, m, p, primes):
     """The minimal polynomial from a dependence over Q, checked exactly:
     the reference for locfin._lift."""
-    # only the newest iterate can close the first dependence; backfilled
-    # ones had strictly maximal degree when skipped
-    if k != m:
-        raise InconsistencyError(f"dependence during backfill at iterate {k} of {m}")
     mu = UniPoly([combo.get(j, 0) for j in range(m + 1)])
     if not mu.is_monic:
         raise InconsistencyError("the first dependence is not monic")
