@@ -303,23 +303,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     # exact results have any number of digits, past the interpreter's cap
-    # on int <-> str conversion (4300 digits by default, where it exists)
-    if hasattr(sys, "set_int_max_str_digits"):
+    # on int <-> str conversion (4300 digits by default, where it exists),
+    # so the cap is lifted for the length of this call
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if cap is not None:
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except _UsageError as exc:
         print(f"polyaut: error: {exc}", file=sys.stderr)
         return 3
-    try:
-        return args.func(args)
     except (InconsistencyError, VerificationError) as exc:
         print(f"polyaut: verification failed: {exc}", file=sys.stderr)
         return 1
     except (ParseError, ValueError, OSError) as exc:
         print(f"polyaut: error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

@@ -9,45 +9,40 @@ Because earlier iterates stay independent until the first dependence, the
 relation found is automatically the monic minimal polynomial.
 
 Degree growth is the enemy: for Henon-type maps deg(G^{om}) doubles each
-step and the iterates themselves become astronomically large long before
-the degree budget trips.  The certifier therefore keeps one tuple of top
-forms (leading homogeneous parts) per iterate and reads the degrees off
-it.  The top forms of G^{om} come from those of G^{o(m-1)} by one
-substitution of the top forms into all coordinates at once, exact as long
-as no cancellation occurs in the top degree.  Full iterates live only in
-the map's orbit, composed on demand and each checked against the degrees
-its top forms predicted.  Two facts make this sound:
+step, and the iterates become astronomically large long before the degree
+budget trips.  But an iterate whose degree strictly exceeds every earlier
+one cannot take part in a first dependence (compare top homogeneous
+parts), so the elimination skips it, and a dependence can only appear
+when the degrees stop rising; then the skipped iterates are composed and
+fed to the elimination in order.  So the search needs an iterate's degree
+long before the iterate, and reads it off one point.
 
-  * an iterate whose degree strictly exceeds every earlier iterate's
-    degree cannot take part in a first linear dependence (compare top
-    homogeneous parts), so elimination may skip it;
-  * a dependence can therefore only appear when the degree sequence
-    plateaus or drops, and at that point the skipped iterates are
-    materialized and fed to the elimination in order.
+For a prime p and a fixed point x of GF(p)^n with nonzero coordinates, it
+keeps per iterate and coordinate the degree and the value of the top form
+at x, mod p.  Coordinate i of G o H is G_i(H_1, ..., H_n): the terms of
+G_i of maximal degree d under the degrees of H, with each H_j replaced by
+its top form, sum to the part of degree d, and their value at H's values
+is that part's value at x.  A nonzero value proves the part nonzero, so it
+is the top form and d the exact degree: no degree rests on chance.  A zero
+value means a true cancellation or a zero at x, and that iterate is
+composed in full and read off.  Full iterates live only in the map's
+orbit, each checked against its predicted degrees when composed.  So a
+Henon map composes no iterate.  The values need G's coefficients mod p:
+p must divide no denominator, and no coefficient either, since a
+coefficient that vanishes mod p zeroes the values it multiplies (3 does in
+(Y, X + 3*Y^2) mod 3) and the search would compose every iterate.  Such a
+prime gives way to the next.
 
-So on budget-exceeding inputs only top forms are ever computed, never the
-doubling iterates themselves.
-
-Top forms are predicted only off a plateau.  Once iterate m-1 sits in
-the elimination and deg(G) * deg(G^{o(m-1)}) <= max_deg, iterate m is
-composed in full and its top forms are read off it: if its degree does not
-rise, the elimination takes it next anyway, so a certified map composes
-exactly the iterates it would compose with prediction.  The waste is
-bounded: when the degree rises after a plateau, one iterate is composed
-that prediction would have skipped, and its degree is within the budget.
-Henon-type maps, whose degree rises at every step, never reach a plateau
-and keep the lazy path.
-
-The elimination runs over GF(p) for a prime p just below 2^61, not over
-Q.  The rank mod p is at most the rank over Q, so the first dependence mod
-p comes no later than the true first one.  Its coefficients are lifted to
-Q by rational reconstruction, with more primes combined by the Chinese
-remainder theorem, and the lift is returned only after the exact Fraction
-check that it vanishes on G: a relation that vanishes at an index no
-later than the true first dependence is the minimal polynomial.  A prime
-that cannot decide gives way to the next one below it.  Primes are made
-on demand, and a bound on the minors of the iterates says when enough are
-combined (see _lift).
+The elimination runs over GF(p) with the same prime.  The rank mod p is
+at most the rank over Q, so the first dependence mod p comes no later than
+the true first one.  Its coefficients are lifted to Q by rational
+reconstruction, with more primes combined by the Chinese remainder
+theorem, and the lift is returned only after the exact Fraction check that
+it vanishes on G: a relation that vanishes at an index no later than the
+true first dependence is the minimal polynomial.  A prime that cannot
+decide gives way to the next one below it.  Primes are made on demand, and
+a bound on the minors of the iterates says when enough are combined (see
+_lift).
 
 minimality_certificate(g, mu) is the same search, cut at iterate
 deg(mu) - 1 and with a degree budget no iterate reaches: the iterates
@@ -68,12 +63,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 from typing import Sequence
 
 from .endo import Endo, linear_combination, verify_inverse_pair
 from .linalg import DependenceFinder, UnluckyPrime, rational_reconstruction
-from .poly import NEG_INF, InconsistencyError, Poly, Rational, Record, _substitute, is_int
+from .poly import NEG_INF, InconsistencyError, Rational, Record, is_int
 
 
 class UniPoly(Record):
@@ -168,66 +163,77 @@ class LFReport(Record):
 
 
 # ----------------------------------------------------------------------
-# lazy iterate bookkeeping: top forms only, full iterates in g's orbit
+# lazy iterate bookkeeping: per iterate, each coordinate's degree and the
+# value of its top form at one point mod p; full iterates in g's orbit
 
-def _top_forms(g: Endo) -> tuple:
-    return tuple(c.top_form() for c in g.coords)
-
-
-def _degree(tops: tuple):
-    """deg of an iterate, read off its top forms; NEG_INF if all are zero."""
-    return max(t.total_degree() for t in tops)
+#: A prime above 2^61, the largest below 2^64 divided by the golden ratio.
+_BASE = 0x9E3779B97F4A7BB9
 
 
-def _compose_leading(g: Endo, tops: tuple):
-    """The top forms of g o h from the top forms of h alone.
+def _point(n: int, p: int) -> tuple:
+    """The point (b, b^2, ..., b^n), b = _BASE mod p, where top forms are
+    evaluated; no coordinate is 0, as every search prime is below _BASE."""
+    return tuple(pow(_BASE, j, p) for j in range(1, n + 1))
 
-    Coordinate i of the composition is g_i(h_1, ..., h_n); a monomial
-    c*X^alpha contributes degree sum(alpha_j * deg h_j), and only the
-    monomials of maximal degree reach the top.  Their sum, with each h_j
-    replaced by its top form, is a substitution; a nonzero sum of products
-    of forms of degree d is homogeneous of degree d, so it is the top
-    form.  All coordinates' selections are substituted in one call, which
-    packs the tops once.  Returns None when a nonempty selection
-    substitutes to zero (the candidate tops cancel, the true degree is
-    smaller and only full composition can tell).
+
+def _mod(c, p: int) -> list:
+    # the terms of the polynomial c, with coefficients mod p
+    return [(mono, v.numerator * pow(v.denominator, -1, p) % p) for mono, v in c.terms.items()]
+
+
+def _reduce(g: Endo, p: int) -> list:
+    """g's coordinates as _mod gives them; raises UnluckyPrime when p
+    divides a coefficient or a denominator."""
+    if any(v.numerator % p == 0 or v.denominator % p == 0
+           for c in g.coords for v in c.terms.values()):
+        raise UnluckyPrime(f"{p} divides a coefficient or a denominator of the map")
+    return [_mod(c, p) for c in g.coords]
+
+
+def _top(terms: list, degrees: tuple, values: tuple, p: int) -> tuple:
+    """(d, v) for a polynomial in terms mod p, with x_j given the degree
+    degrees[j] and the value values[j]: d is the largest degree of a term,
+    and v the value of the terms of degree d, mod p.  A term with a factor
+    of degree NEG_INF (zero) is dropped."""
+    best, value = NEG_INF, 0
+    for mono, c in terms:
+        d = sum(a * dj for a, dj in zip(mono, degrees) if a)
+        if d > best:
+            best, value = d, 0
+        if d == best != NEG_INF:
+            value += c * prod(pow(v, a, p) for v, a in zip(values, mono))
+    return best, value % p
+
+
+def _leading(h: Endo, x: tuple, p: int) -> tuple:
+    """The degrees of h's coordinates, and the values of their top forms at
+    x mod p, read off h itself."""
+    ones = (1,) * h.n
+    return tuple(zip(*(_top(_mod(c, p), ones, x, p) for c in h.coords)))
+
+
+def _compose_leading(reduced: list, degrees: tuple, values: tuple, p: int):
+    """_leading of g o h from that of h, with g given by _reduce.
+
+    The terms of g_i of maximal degree under the degrees of h, with each
+    h_j replaced by its top form, sum to the part of g_i(h) of that degree,
+    so their value at h's values is the part's value at x, and a nonzero
+    value proves the part is the top form.  Returns None when a value is
+    zero: a cancellation, or a zero at x, which only full composition can
+    tell apart.
     """
-    degrees = [t.total_degree() for t in tops]
-    selected = []
-    for gi in g.coords:
-        best, top = NEG_INF, {}  # the terms of maximal degree under h
-        for mono, c in gi.terms.items():
-            d = 0
-            for a, dj in zip(mono, degrees):
-                if a == 0:
-                    continue
-                if dj == NEG_INF:
-                    break  # factor is zero, monomial dies
-                d += a * dj
-            else:
-                if d > best:
-                    best, top = d, {mono: c}
-                elif d == best:
-                    top[mono] = c
-        selected.append(Poly._raw(g.n, top))
-    forms = _substitute(selected, tops)
-    if any(sel and not form for sel, form in zip(selected, forms)):
+    tops = [_top(terms, degrees, values, p) for terms in reduced]
+    if any(d != NEG_INF and not v for d, v in tops):
         return None
-    return tuple(forms)
+    return tuple(zip(*tops))
 
 
-def _materialize(g: Endo, tops: list, composed: int, k: int) -> int:
+def _materialize(g: Endo, leads: list, composed: int, k: int) -> int:
     """Compose iterates composed..k in g's orbit, each checked against the
-    degrees its top forms predict; returns the new count of composed
-    iterates."""
+    degrees predicted for it; returns the new count of composed iterates."""
     for j in range(composed, k + 1):
-        value = g.orbit(j)[j]
-        if tuple(c.total_degree() for c in value.coords) != tuple(
-            t.total_degree() for t in tops[j]
-        ):
-            raise InconsistencyError(
-                f"iterate {j} does not have the degrees its top forms predict"
-            )
+        if tuple(c.total_degree() for c in g.orbit(j)[j].coords) != leads[j][0]:
+            raise InconsistencyError(f"iterate {j} does not have the degrees predicted for it")
     return max(composed, k + 1)
 
 
@@ -239,9 +245,11 @@ def _flatten(g: Endo) -> dict:
     }
 
 
-def _finite_max(degrees):
-    finite = [d for d in degrees if d != NEG_INF]
-    return max(finite) if finite else 0
+def _report(verdict: str, mu, leads: list, m: int) -> LFReport:
+    # the report after iterate m, with the degrees of iterates 0..m
+    degrees = tuple(max(lead[0]) for lead in leads)
+    top = max((d for d in degrees if d != NEG_INF), default=0)
+    return LFReport(verdict, mu, degrees, (m, top))
 
 
 # ----------------------------------------------------------------------
@@ -310,41 +318,32 @@ def _search(g: Endo, max_iter: int, max_deg: int, p: int, primes) -> LFReport:
     mod p, lifted to the minimal polynomial with the primes that follow
     (see _lift); raises UnluckyPrime when p cannot decide."""
     finder = DependenceFinder(p)
-    tops = [_top_forms(g.orbit(0)[0])]  # per iterate
-    degree_seq = [_degree(tops[0])]
-    running_max = degree_seq[0]
+    reduced = _reduce(g, p)
+    x = _point(g.n, p)
+    leads = [((1,) * g.n, x)]  # per iterate, as _leading gives it
+    running_max = 1
     composed = 1  # iterates 0..composed-1 are composed, in g's orbit
     added = 0  # iterates 0..added-1 sit in the finder
 
     for m in range(1, max_iter + 1):
-        if added == m and degree_seq[1] * degree_seq[m - 1] <= max_deg:
-            # on a plateau (iterates 0..m-1 sit in the finder, so m >= 2):
-            # the finder takes iterate m next unless its degree rises, and
-            # its degree is within the budget either way
-            lead = None
-        else:
-            lead = _compose_leading(g, tops[m - 1])
+        lead = _compose_leading(reduced, *leads[m - 1], p)
         if lead is None:
-            # a plateau, or top-degree cancellation: compose in full
-            _materialize(g, tops, composed, m - 1)
-            lead = _top_forms(g.orbit(m)[m])
+            # top-degree cancellation, or a zero at x: compose in full
+            _materialize(g, leads, composed, m - 1)
+            lead = _leading(g.orbit(m)[m], x, p)
             composed = m + 1
-        tops.append(lead)
-        d = _degree(lead)
-        degree_seq.append(d)
-
-        if d != NEG_INF and d > max_deg:
-            return LFReport(
-                "Unknown", None, tuple(degree_seq), (m, _finite_max(degree_seq))
-            )
-        if d != NEG_INF and d > running_max:
+        leads.append(lead)
+        d = max(lead[0])
+        if d > max_deg:
+            return _report("Unknown", None, leads, m)
+        if d > running_max:
             # strictly growing degree: provably independent of all earlier
             # iterates, elimination safely skipped
             running_max = d
             continue
 
         for k in range(added, m + 1):
-            composed = _materialize(g, tops, composed, k)
+            composed = _materialize(g, leads, composed, k)
             combo = finder.add(_flatten(g.orbit(k)[k]))
             added += 1
             if combo is None:
@@ -354,14 +353,8 @@ def _search(g: Endo, max_iter: int, max_deg: int, p: int, primes) -> LFReport:
                 # maximal degree when they were skipped
                 raise UnluckyPrime(
                     f"dependence mod {p} during backfill at iterate {k} of {m}")
-            return LFReport(
-                "CertifiedLF", _lift(g, combo, m, p, primes),
-                tuple(degree_seq), (m, _finite_max(degree_seq)),
-            )
-
-    return LFReport(
-        "Unknown", None, tuple(degree_seq), (max_iter, _finite_max(degree_seq))
-    )
+            return _report("CertifiedLF", _lift(g, combo, m, p, primes), leads, m)
+    return _report("Unknown", None, leads, max_iter)
 
 
 def _lift(g: Endo, combo: dict, m: int, p: int, primes) -> UniPoly:

@@ -248,6 +248,9 @@ class Poly(Record):
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals its value (above), so it hashes as the value
+        if not any(map(any, self.terms)):
+            return hash(self.constant_term())
         return hash((self.n, frozenset(self.terms.items())))
 
     def __repr__(self):

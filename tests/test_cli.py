@@ -210,6 +210,25 @@ def test_error_classes_are_shared_by_every_module():
     assert issubclass(poly.InconsistencyError, ValueError)
 
 
+def test_digit_cap_is_restored_after_main(capsys):
+    # main lifts the int <-> str cap for its own call only, so the results
+    # of any size print, and the caller's cap stands afterwards
+    import sys
+
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter has no int <-> str digit cap")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the default, whatever ran before
+    try:
+        code, out, _ = run(capsys, "parse-check", "--n", "1", "--map", "(2^15000)*x1")
+        assert code == 0 and len(out) == 4516 + len("*x1\n")  # 2^15000: 4516 digits
+        assert sys.get_int_max_str_digits() == 4300
+        code, _, _ = run(capsys, "parse-check", "--n", "1", "--map", "X+")
+        assert code == 3 and sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
 # ----------------------------------------------------------------------
 # exit 2: Unknown verdict
 

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 import samplers
 from fraction_finder import FractionDependenceFinder
-from polyaut import locfin
+from polyaut import endo, locfin, poly
 from polyaut.endo import Endo, verify_inverse_pair
+from polyaut.linalg import mat_inverse
 from polyaut.locfin import (
     InconsistencyError,
     LFReport,
@@ -43,6 +44,10 @@ def diag23():
 
 def henon():
     return parse_map("x2, x1 + x2^2", 2)
+
+
+# the degrees of a map whose degree doubles, up to the default budget's
+DOUBLING = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +186,11 @@ def test_certify_conjugated_diagonal_needs_backfill():
     assert r.certified
     # (T-2)(T-3)(T-9)
     assert r.minimal_polynomial == UniPoly([-54, 51, -14, 1])
+    assert r.iterate_degrees == (1, 2, 2, 2)
     assert minimality_certificate(g, r.minimal_polynomial)
+    # a degree budget of 3 or 4, on either side of deg(g) * deg(g^2) = 4,
+    # gives the same report
+    assert lf_certify(g, max_deg=3) == lf_certify(g, max_deg=4) == r
 
 
 def test_report_json():
@@ -216,13 +225,14 @@ def test_minimality_certificate():
     assert not minimality_certificate(diag23(), over)
 
 
+def _refuse_to_compose(self, other):
+    raise AssertionError("composed an iterate")
+
+
 def test_minimality_on_henon_composes_nothing(monkeypatch):
     # the degrees of (Y, X + Y^2) double at every step, so iterates 0..19
     # are independent and none of them needs composing
-    def refuse(self, other):
-        raise AssertionError("composed an iterate")
-
-    monkeypatch.setattr(Endo, "compose", refuse)
+    monkeypatch.setattr(Endo, "compose", _refuse_to_compose)
     assert minimality_certificate(parse_map("Y, X + Y^2", 2), UniPoly([0] * 20 + [1]))
 
 
@@ -394,12 +404,13 @@ def _exact_relation(g, combo, m, p, primes):
 
 
 def _exact_reference(g, max_iter=16, max_deg=512):
-    """lf_certify's lazy search with the Fraction finder and the exact
-    relation patched in, so no prime takes part."""
+    """lf_certify with the Fraction finder and the exact relation patched
+    in, so no prime takes part in the elimination.  The search prime still
+    evaluates the top forms, and each nonzero value proves a degree."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(locfin, "DependenceFinder", lambda p: FractionDependenceFinder())
         mp.setattr(locfin, "_lift", _exact_relation)
-        return locfin._search(g, max_iter, max_deg, None, None)
+        return lf_certify(g, max_iter, max_deg)
 
 
 def _exact_minimality(g, degree):
@@ -495,8 +506,8 @@ def test_certify_lifts_through_crt_without_fallback(monkeypatch):
     [
         # a denominator vanishes mod 3: the search rotates to P0
         ("1/3*x1", 1, (3,), True),
-        # iterate 1 is the identity mod 3: a dependence while backfilling,
-        # so the search rotates to P0
+        # 3 divides a coefficient, which would zero out the values of the
+        # top forms: the search rotates to P0
         ("x1 + 3*x2^2, x2", 2, (3,), True),
         # mod 5, -2 does not lift; 3 finds an earlier dependence and is
         # skipped, and P0 is combined with 5
@@ -506,10 +517,14 @@ def test_certify_lifts_through_crt_without_fallback(monkeypatch):
         ("x1, 2*x2", 2, (3,), True),
         # ... and with 7 combined in instead, the lift is right
         ("x1, 2*x2", 2, (3, 7), False),
-        # T^2 - 16/5 T + 3/5 is found mod 3 and needs a second prime; 5
+        # T^2 - 51/5 T + 2 is found mod 3 and needs a second prime; 5
         # divides a denominator, and mod 7 the map is 3 times the identity,
         # an earlier dependence, so both are skipped for P0
-        ("1/5*x1, 3*x2", 2, (3, 5, 7), True),
+        ("1/5*x1, 10*x2", 2, (3, 5, 7), True),
+        # degrees 1, 2, 4, 4, but the degree-4 terms of iterate 2 have
+        # coefficient 2, and iterate 2 is the identity mod 2: a dependence
+        # while backfilling, so the search rotates to P0
+        ("x1 + x2^2 + x3^2, x2 + x4^2, x3 + x4^2, x4", 4, (2,), True),
     ],
 )
 def test_unlucky_primes(monkeypatch, text, n, primes, reaches_real_primes):
@@ -520,6 +535,17 @@ def test_unlucky_primes(monkeypatch, text, n, primes, reaches_real_primes):
     assert r.certified
     assert built == [*primes, *([P0] if reaches_real_primes else [])]
     assert r == _exact_reference(g)
+
+
+def test_prime_dividing_a_coefficient_is_skipped(monkeypatch):
+    # mod 3 the top coefficient 3 would zero every value, so every iterate
+    # would be composed; the search moves to P0 at once and composes none
+    built = _recording_finders(monkeypatch)
+    _primes_first(monkeypatch, (3,))
+    monkeypatch.setattr(Endo, "compose", _refuse_to_compose)
+    r = lf_certify(parse_map("Y, X + 3*Y^2", 2))
+    assert r.verdict == "Unknown" and r.iterate_degrees == DOUBLING
+    assert built == [3, P0]
 
 
 @pytest.mark.parametrize(
@@ -562,7 +588,7 @@ def test_primes_are_made_on_demand(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# no top-form prediction on a plateau
+# degrees predicted from top-form values at one point
 
 @given(
     st.sampled_from(["triangular", "dejonquieres", "diagonal"]),
@@ -583,26 +609,89 @@ def test_iterate_degrees_are_true_degrees(kind, seed):
 def test_henon_certification_composes_no_iterate(seed):
     g = samplers.random_henon(random.Random(seed))
     assert lf_certify(g).verdict == "Unknown"
-    assert len(g._orbit) == 1  # the identity only
+    assert g._orbit is None  # not even the identity
 
 
-def test_prediction_runs_only_off_a_plateau(monkeypatch):
-    # degrees 1, 2, 2, 2: iterates 0..2 reach the finder at m = 2, so at
-    # m = 3 the bound deg(g) * deg(g^2) = 4 decides between composing
-    # iterate 3 in full and predicting its top forms
-    calls = []
-    real = locfin._compose_leading
-    monkeypatch.setattr(
-        locfin, "_compose_leading", lambda g, prev: calls.append(prev) or real(g, prev)
+def _linear_conjugate_of_henon(rng):
+    """phi o (h, x3) o phi^-1 for a random Henon map h in x1, x2 and a random
+    invertible linear phi of 3-space: its top forms are dense."""
+    h = samplers.random_henon(rng)
+    xs = Poly.variables(3)
+    lifted = Endo([c.substitute(xs[:2]) for c in h.coords] + [xs[2]])
+    while True:
+        a = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+        try:
+            a_inv = mat_inverse(a)
+        except ValueError:
+            continue  # singular
+        phi, phi_inv = (
+            Endo([sum((c * v for c, v in zip(row, xs)), Poly.zero(3)) for row in m])
+            for m in (a, a_inv)
+        )
+        return conjugate(phi, phi_inv, lifted)
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+@settings(deadline=None, max_examples=25)
+def test_iterate_degrees_of_conjugated_henon_maps(seed):
+    g = _linear_conjugate_of_henon(random.Random(seed))
+    report = lf_certify(g, max_deg=8)
+    assert report.verdict == "Unknown"
+    fresh = Endo(g.coords)  # composes its own orbit
+    assert report.iterate_degrees == tuple(
+        fresh.iterate(m).degree() for m in range(len(report.iterate_degrees))
     )
-    text = "2*x1 + 7*x2^2, 3*x2"
-    reports = []
-    for max_deg, predicted in ((4, 2), (3, 3)):
-        calls.clear()
-        reports.append(lf_certify(parse_map(text, 2), max_deg=max_deg))
-        assert len(calls) == predicted
-    assert reports[0] == reports[1]
-    assert reports[0].iterate_degrees == (1, 2, 2, 2)
+
+
+# (x2, x3, x1 + x3^2) conjugated by phi = (x1, x2, x1 + x2 + x3): the top
+# forms of its iterates are multiples of powers of x1 + x2 - x3
+CONJUGATE3 = "x2, -x1 - x2 + x3, x1^2 + 2*x1*x2 - 2*x1*x3 + x2^2 - 2*x2*x3 + x3^2 + x3"
+
+
+def test_dense_top_forms_cost_no_composition(monkeypatch):
+    phi = parse_map("x1, x2, x1 + x2 + x3", 3)
+    phi_inv = parse_map("x1, x2, x3 - x1 - x2", 3)
+    g = parse_map(CONJUGATE3, 3)
+    assert g == conjugate(phi, phi_inv, parse_map("x2, x3, x1 + x3^2", 3))
+    monkeypatch.setattr(Endo, "compose", _refuse_to_compose)
+    r = lf_certify(g)
+    assert r.verdict == "Unknown"
+    assert r.iterate_degrees == DOUBLING
+    assert r.budget_used == (10, 1024)
+    assert minimality_certificate(g, UniPoly([0] * 12 + [1]))
+
+
+@pytest.mark.parametrize("subcommand", ["lf-certify", "minpoly-invert"])
+def test_dense_top_forms_give_exit_2_quickly(subcommand):
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(locfin.__file__), os.pardir)
+    out = subprocess.run(
+        [sys.executable, "-m", "polyaut.cli", subcommand, "--n", "3", "--map", CONJUGATE3],
+        capture_output=True, text=True, timeout=20,
+        env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+    )
+    assert out.returncode == 2, out.stderr
+    assert out.stdout.splitlines() == [
+        "verdict: Unknown",
+        "minimal_polynomial: none",
+        "iterate_degrees: " + " ".join(map(str, DOUBLING)),
+        "budget_used: iterations=10 max_degree=1024",
+    ]
+
+
+def test_rising_path_substitutes_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("substituted")
+
+    for module in (poly, endo, locfin):  # a module may import it by name
+        monkeypatch.setattr(module, "_substitute", refuse, raising=False)
+    for g in [henon(), parse_map(CONJUGATE3, 3)] + [
+        samplers.random_henon(random.Random(seed)) for seed in range(20)
+    ]:
+        assert lf_certify(g).verdict == "Unknown"
 
 
 # ----------------------------------------------------------------------
@@ -652,24 +741,40 @@ def test_certificates_hold_under_python_optimize():
     ]
 
 
-@given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2**32))
+def _top_values(h, x, p):
+    """The top form of each coordinate of h evaluated at x, mod p: the
+    reference for locfin._leading, in Fraction arithmetic."""
+    point = [Poly.constant(h.n, v) for v in x]
+    values = [c.top_form().substitute(point).constant_term() for c in h.coords]
+    return tuple(v.numerator * pow(v.denominator, -1, p) % p for v in values)
+
+
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=2**32),
+    st.sampled_from([P0, 7]),
+)
 @settings(deadline=None, max_examples=80)
-def test_compose_leading_matches_full_composition(n, seed):
-    # the prediction is the top forms of g o h, and None exactly when some
-    # coordinate's candidate tops cancel; full composition is the reference
+def test_compose_leading_matches_full_composition(n, seed, p):
+    # the prediction is the degrees of g o h and its top forms' values at
+    # x, and None exactly when the terms of maximal degree of some
+    # coordinate vanish at x mod p (they cancel, or x is a zero of the top
+    # form, which mod 7 happens often); full composition is the reference
     rng = random.Random(seed)
     g, h = (Endo([samplers.random_poly(rng, n, 3, 3) for _ in range(n)]) for _ in "gh")
-    tops = tuple(c.top_form() for c in h.coords)
-    truth = tuple(c.top_form() for c in g.compose(h).coords)
-    degrees = [t.total_degree() for t in tops]
+    x = locfin._point(n, p)
+    degrees, values = locfin._leading(h, x, p)
+    assert values == _top_values(h, x, p)
+    truth = (tuple(c.total_degree() for c in g.compose(h).coords),
+             _top_values(g.compose(h), x, p))
     predicted = [
-        max((sum(a * d for a, d in zip(mono, degrees) if a) for mono in p.terms),
+        max((sum(a * d for a, d in zip(mono, degrees) if a) for mono in c.terms),
             default=NEG_INF)
-        for p in g.coords
+        for c in g.coords
     ]
-    lead = locfin._compose_leading(g, tops)
+    lead = locfin._compose_leading(locfin._reduce(g, p), degrees, values, p)
     assert (lead is None) == any(
-        t.total_degree() < d for t, d in zip(truth, predicted)
+        d != NEG_INF and (t < d or v == 0) for t, v, d in zip(*truth, predicted)
     )
     if lead is not None:
         assert lead == truth
@@ -678,16 +783,25 @@ def test_compose_leading_matches_full_composition(n, seed):
 def test_compose_leading_reports_cancelling_tops():
     g = parse_map("x1 - x2, x2", 2)
     h = parse_map("x1 + x2^2, x2^2 + 1", 2)
-    assert locfin._compose_leading(g, tuple(c.top_form() for c in h.coords)) is None
+    lead = locfin._leading(h, locfin._point(2, P0), P0)
+    assert locfin._compose_leading(locfin._reduce(g, P0), *lead, P0) is None
+
+
+def test_point_has_nonzero_coordinates():
+    # _BASE is a prime above every search prime, so none of them divides it
+    assert locfin._is_prime(locfin._BASE) and locfin._BASE > 2**61
+    for p in (3, 5, 7, P0, P1):
+        assert all(locfin._point(4, p))
 
 
 def test_degree_certificate_mismatch_raises(monkeypatch):
-    # top forms that predict the wrong degree must not pass silently:
-    # here every iterate of the shear is claimed to stay linear
+    # predictions of the wrong degree must not pass silently: here every
+    # iterate of the shear is claimed to stay linear
     real = locfin._compose_leading
 
-    def stays_linear(g, tops):
-        return None if real(g, tops) is None else Poly.variables(g.n)
+    def stays_linear(reduced, degrees, values, p):
+        lead = real(reduced, degrees, values, p)
+        return None if lead is None else ((1,) * len(degrees), lead[1])
 
     monkeypatch.setattr(locfin, "_compose_leading", stays_linear)
     with pytest.raises(InconsistencyError, match="^iterate 1 does not have the degrees"):

@@ -84,6 +84,16 @@ def test_hashable_and_usable_as_dict_key():
     assert d[y * x] == "xy"
 
 
+@pytest.mark.parametrize("value", [0, 3, -7, Fraction(0), Fraction(5, 3), Fraction(-6, 2)])
+def test_constants_hash_as_their_values(value):
+    # equal values hash alike, so a constant and its value are one set member
+    for n in (1, 3):
+        p = Poly.constant(n, value)
+        assert p == value and hash(p) == hash(value)
+        assert len({value, p}) == 1
+    assert hash(Poly.zero(2)) == hash(0) == hash(Fraction(0))
+
+
 def test_immutable():
     p = Poly.constant(1, 1)
     with pytest.raises(AttributeError):
