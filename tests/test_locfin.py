@@ -186,11 +186,7 @@ def test_certify_conjugated_diagonal_needs_backfill():
     assert r.certified
     # (T-2)(T-3)(T-9)
     assert r.minimal_polynomial == UniPoly([-54, 51, -14, 1])
-    assert r.iterate_degrees == (1, 2, 2, 2)
     assert minimality_certificate(g, r.minimal_polynomial)
-    # a degree budget of 3 or 4, on either side of deg(g) * deg(g^2) = 4,
-    # gives the same report
-    assert lf_certify(g, max_deg=3) == lf_certify(g, max_deg=4) == r
 
 
 def test_report_json():
@@ -692,6 +688,27 @@ def test_rising_path_substitutes_nothing(monkeypatch):
         samplers.random_henon(random.Random(seed)) for seed in range(20)
     ]:
         assert lf_certify(g).verdict == "Unknown"
+
+
+def test_prediction_runs_only_off_a_plateau(monkeypatch):
+    # degrees 1, 2, 2, 2: the degree plateaus from iterate 1 on, and a
+    # budget of 3 or 4, on either side of deg(g) * deg(g^2) = 4, changes
+    # nothing: each of iterates 1..3 is predicted once from the values of
+    # the one before, and no prediction falls back to full composition
+    calls = []
+    real = locfin._compose_leading
+    monkeypatch.setattr(
+        locfin, "_compose_leading", lambda *a: calls.append(real(*a)) or calls[-1]
+    )
+    g = parse_map("2*x1 + 7*x2^2, 3*x2", 2)
+    reports = []
+    for max_deg in (4, 3):
+        calls.clear()
+        reports.append(lf_certify(g, max_deg=max_deg))
+        assert len(calls) == 3
+        assert None not in calls
+    assert reports[0] == reports[1]
+    assert reports[0].iterate_degrees == (1, 2, 2, 2)
 
 
 # ----------------------------------------------------------------------
