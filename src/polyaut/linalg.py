@@ -55,9 +55,11 @@ def mat_vec(rows, vec):
 
 
 class UnluckyPrime(ArithmeticError):
-    """The prime cannot decide: a vector entry has a denominator divisible
-    by it, so the vector has no image over GF(p), or a dependence found
-    mod p does not lift to the one over Q."""
+    """The prime cannot decide on its own: a vector entry has a
+    denominator divisible by it, so the vector has no image over GF(p).
+    The minimal-polynomial search also raises it when p divides a
+    coefficient of the map, or finds a dependence impossible over Q; a
+    prime whose first dependence is merely too early is skipped there."""
 
 
 class DependenceFinder:

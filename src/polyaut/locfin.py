@@ -33,16 +33,19 @@ coefficient that vanishes mod p zeroes the values it multiplies (3 does in
 (Y, X + 3*Y^2) mod 3) and the search would compose every iterate.  Such a
 prime gives way to the next.
 
-The elimination runs over GF(p) with the same prime.  The rank mod p is
-at most the rank over Q, so the first dependence mod p comes no later than
-the true first one.  Its coefficients are lifted to Q by rational
-reconstruction, with more primes combined by the Chinese remainder
-theorem, and the lift is returned only after the exact Fraction check that
-it vanishes on G: a relation that vanishes at an index no later than the
-true first dependence is the minimal polynomial.  A prime that cannot
-decide gives way to the next one below it.  Primes are made on demand, and
-a bound on the minors of the iterates says when enough are combined (see
-_lift).
+Every prime runs the same search, with the elimination over GF(p).  The
+rank mod p is at most the rank over Q, so the first dependence mod p comes
+no later than the true first one, and a prime that finds none within the
+budget proves there is none.  Of the dependences found, the one at the
+latest iterate is kept: a later one replaces it, as every prime before it
+was unlucky, an earlier one is skipped, and one at the same iterate is
+combined with it by the Chinese remainder theorem.  The coefficients are
+lifted to Q by rational reconstruction, and the lift is returned only
+after the exact Fraction check that it vanishes on G: a relation that
+vanishes at an index no later than the true first dependence is the
+minimal polynomial.  A prime that cannot decide gives way to the next one
+below it.  Primes are made on demand, and a bound on the minors of the
+iterates says when enough are combined (see _limit).
 
 minimality_certificate(g, mu) is the same search, cut at iterate
 deg(mu) - 1 and with a degree budget no iterate reaches: the iterates
@@ -298,25 +301,55 @@ def lf_certify(g: Endo, max_iter: int = 16, max_deg: int = 512) -> LFReport:
     CertifiedLF comes with the monic minimal polynomial, re-verified
     internally as an exact zero map.  Unknown means the budget ran out
     (an iterate degree exceeded max_deg, or max_iter iterates brought no
-    dependence); it never asserts that g is not locally finite.
+    dependence); it never asserts that g is not locally finite.  Each
+    prime runs _search, and their dependences combine as the module
+    docstring says.
     """
     if not is_int(max_iter) or max_iter < 1:
         raise ValueError(f"max_iter must be a positive integer, got {max_iter!r}")
     if not is_int(max_deg) or max_deg < 1:
         raise ValueError(f"max_deg must be a positive integer, got {max_deg!r}")
 
-    primes = _primes()
-    for p in primes:
+    kept = -1  # the iterate of the kept dependence
+    for p in _primes():
         try:
-            return _search(g, max_iter, max_deg, p, primes)
+            leads, m, combo = _search(g, max_iter, max_deg, p)
         except UnluckyPrime:
-            pass  # the next prime searches again, on the same orbit
+            continue  # the next prime searches again, on the same orbit
+        if combo is None:
+            return _report("Unknown", None, leads, m)
+        if m < kept:
+            continue
+        if m > kept:  # every prime kept so far was unlucky
+            kept, modulus, combined, limit = m, p, 1, None
+            residues = [combo.get(j, 0) for j in range(m + 1)]
+        else:
+            inv = pow(modulus, -1, p)
+            residues = [
+                r + modulus * ((combo.get(j, 0) - r) * inv % p)
+                for j, r in enumerate(residues)
+            ]
+            modulus *= p
+            combined += 1
+        if combined & (combined - 1):
+            continue  # reconstruct at power-of-two counts of primes
+        coeffs = [rational_reconstruction(r, modulus) for r in residues]
+        if None not in coeffs:
+            mu = UniPoly(coeffs)
+            if verify_vanishing(g, mu):
+                return _report("CertifiedLF", mu, leads, m)
+        if limit is None:
+            limit = _limit(g, m)
+        if modulus > limit:
+            raise InconsistencyError("certified relation failed to vanish")
 
 
-def _search(g: Endo, max_iter: int, max_deg: int, p: int, primes) -> LFReport:
+def _search(g: Endo, max_iter: int, max_deg: int, p: int) -> tuple:
     """The lazy-degree search for the first dependence among g's iterates
-    mod p, lifted to the minimal polynomial with the primes that follow
-    (see _lift); raises UnluckyPrime when p cannot decide."""
+    mod p: (leads, m, combo), with leads as _leading gives them for
+    iterates 0..m and combo the dependence p found when the search added
+    iterate m, the one it examines, or None when the budget ran out at m.
+    Raises UnluckyPrime when p cannot decide."""
     finder = DependenceFinder(p)
     reduced = _reduce(g, p)
     x = _point(g.n, p)
@@ -335,7 +368,7 @@ def _search(g: Endo, max_iter: int, max_deg: int, p: int, primes) -> LFReport:
         leads.append(lead)
         d = max(lead[0])
         if d > max_deg:
-            return _report("Unknown", None, leads, m)
+            return leads, m, None
         if d > running_max:
             # strictly growing degree: provably independent of all earlier
             # iterates, elimination safely skipped
@@ -353,26 +386,19 @@ def _search(g: Endo, max_iter: int, max_deg: int, p: int, primes) -> LFReport:
                 # maximal degree when they were skipped
                 raise UnluckyPrime(
                     f"dependence mod {p} during backfill at iterate {k} of {m}")
-            return _report("CertifiedLF", _lift(g, combo, m, p, primes), leads, m)
-    return _report("Unknown", None, leads, max_iter)
+            return leads, m, combo
+    return leads, max_iter, None
 
 
-def _lift(g: Endo, combo: dict, m: int, p: int, primes) -> UniPoly:
-    """The minimal polynomial from the dependence that p found when
-    _search added iterate m, the one it examines, with iterates 0..m-1
-    independent mod p; raises UnluckyPrime when p cannot decide.
+def _limit(g: Endo, m: int) -> int:
+    """A modulus past which the CRT lift of a dependence at iterate m
+    vanishes, if every combined prime found its first dependence there.
 
-    Further primes q eliminate iterates 0..m again, and their dependences
-    are combined with p's by CRT.  A q that divides a denominator, or finds
-    a dependence before m, is skipped; one that finds none proves p
-    unlucky.  Each time the count of combined primes is a power of two,
-    the reconstruction is returned if it vanishes exactly on g.
-
-    The stopping point.  Let D_j clear the denominators of iterate j,
-    w_j = D_j v_j its integer vector, and H = max D_j * prod_j
-    (floor|w_j| + 1).  By Hadamard's inequality, no minor of (w_0 .. w_m)
-    exceeds H.  Iterates 0..m-1 are independent mod p, so over Q.  Let M
-    be the product of the combined primes.
+    Let D_j clear the denominators of iterate j, w_j = D_j v_j its integer
+    vector, and H = max D_j * prod_j (floor|w_j| + 1).  By Hadamard's
+    inequality, no minor of (w_0 .. w_m) exceeds H.  Iterates 0..m-1 are
+    independent mod a combined prime, so over Q.  Let M be the product of
+    the combined primes.
       * If v_0..v_m are independent, each combined prime divides a nonzero
         (m+1)-minor, so M <= H.
       * Otherwise Cramer's rule, on m rows whose minor is a unit mod a
@@ -380,47 +406,17 @@ def _lift(g: Endo, combo: dict, m: int, p: int, primes) -> UniPoly:
         a_j: numerators and denominators are at most H, and q divides no
         denominator, so the residues are mu mod M and reconstruction
         returns mu once M > 2 H^2.
-    So a lift that does not vanish when M > 2 H^2 raises
-    InconsistencyError.  H is computed when the first reconstruction fails.
+    So the limit is 2 H^2; lf_certify computes it when a reconstruction
+    first fails.
     """
-    residues = [combo.get(j, 0) for j in range(m + 1)]
-    modulus, combined, limit = p, 1, None
-    while True:
-        coeffs = [rational_reconstruction(r, modulus) for r in residues]
-        if None not in coeffs:
-            mu = UniPoly(coeffs)
-            if verify_vanishing(g, mu):
-                return mu
-        if limit is None:
-            vectors = [_flatten(it) for it in g.orbit(m)]
-            dens = [lcm(*(v.denominator for v in vec.values())) for vec in vectors]
-            height = max(dens)
-            for vec, den in zip(vectors, dens):
-                height *= 1 + isqrt(sum(
-                    (v.numerator * (den // v.denominator)) ** 2 for v in vec.values()
-                ))
-            limit = 2 * height**2
-        if modulus > limit:
-            raise InconsistencyError("certified relation failed to vanish")
-        for q in primes:
-            finder = DependenceFinder(q)
-            try:
-                if any(finder.add(vec) is not None for vec in vectors[:m]):
-                    continue  # a dependence before m
-                step = finder.add(vectors[m])
-            except UnluckyPrime:
-                continue
-            if step is None:
-                raise UnluckyPrime(f"iterates 0..{m} are independent mod {q}")
-            inv = pow(modulus, -1, q)
-            residues = [
-                r + modulus * ((step.get(i, 0) - r) * inv % q)
-                for i, r in enumerate(residues)
-            ]
-            modulus *= q
-            combined += 1
-            if combined & (combined - 1) == 0:
-                break
+    vectors = [_flatten(it) for it in g.orbit(m)]
+    dens = [lcm(*(v.denominator for v in vec.values())) for vec in vectors]
+    height = max(dens)
+    for vec, den in zip(vectors, dens):
+        height *= 1 + isqrt(sum(
+            (v.numerator * (den // v.denominator)) ** 2 for v in vec.values()
+        ))
+    return 2 * height**2
 
 
 def verify_vanishing(g: Endo, p: UniPoly) -> bool:

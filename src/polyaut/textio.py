@@ -163,36 +163,36 @@ def _too_deep(p: _Parser) -> ParseError:
     return ParseError("expression nested too deeply", p.peek()[2])
 
 
-def parse_poly(text: str, n: int) -> Poly:
-    """Parse one expression as a dimension-n polynomial."""
+def _parse(text: str, n: int, coordinates: bool) -> list:
+    """The expressions of text: one, or with coordinates n of them,
+    comma-separated.  Too few commas are found before any polynomial, with
+    its n-entry exponent tuples, is built."""
     p = _Parser(text, n)
+    got = 1 + sum(tok[:2] == ("op", ",") for tok in p.tokens) if coordinates else n
+    if got < n:
+        raise ParseError(f"expected {n} comma-separated coordinates, got {got}", len(text))
     try:
-        result = p.expr()
+        exprs = [p.expr()]
+        while coordinates and p.accept(","):
+            exprs.append(p.expr())
     except RecursionError:
         raise _too_deep(p) from None
     kind, val, pos = p.peek()
     if kind != "end":
         raise ParseError(f"unexpected {_brief(val)} after expression", pos)
-    return result
+    if got > n:
+        raise ParseError(f"expected {n} comma-separated coordinates, got {got}", pos)
+    return exprs
+
+
+def parse_poly(text: str, n: int) -> Poly:
+    """Parse one expression as a dimension-n polynomial."""
+    return _parse(text, n, False)[0]
 
 
 def parse_map(text: str, n: int) -> Endo:
     """Parse n comma-separated expressions as an endomorphism."""
-    p = _Parser(text, n)
-    try:
-        coords = [p.expr()]
-        while p.accept(","):
-            coords.append(p.expr())
-    except RecursionError:
-        raise _too_deep(p) from None
-    kind, val, pos = p.peek()
-    if kind != "end":
-        raise ParseError(f"unexpected {_brief(val)} after expression", pos)
-    if len(coords) != n:
-        raise ParseError(
-            f"expected {n} comma-separated coordinates, got {len(coords)}", pos
-        )
-    return Endo(coords)
+    return Endo(_parse(text, n, True))
 
 
 # ----------------------------------------------------------------------

@@ -287,6 +287,15 @@ def test_wrong_coordinate_count_gives_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("n", [2**62, 10**20])
+def test_huge_n_is_counted_before_parsing(capsys, n):
+    # each polynomial has n-entry exponent tuples: one of 2^62 entries
+    # cannot be allocated, and one of 10^20 does not fit an index
+    code, out, err = run(capsys, "parse-check", "--n", str(n), "--map", "x1")
+    assert (code, out) == (3, "")
+    assert err == f"polyaut: error: expected {n} comma-separated coordinates, got 1 (at position 2)\n"
+
+
 def test_missing_map_gives_exit_3(capsys):
     code, _, err = run(capsys, "lf-certify", "--n", "2")
     assert code == 3

@@ -388,24 +388,15 @@ P0, P1 = 2**61 - 1, 2**61 - 31  # the first two primes the library uses
 SMALL_PRIMES = (3, 5, 7)
 
 
-def _exact_relation(g, combo, m, p, primes):
-    """The minimal polynomial from a dependence over Q, checked exactly:
-    the reference for locfin._lift."""
-    mu = UniPoly([combo.get(j, 0) for j in range(m + 1)])
-    if not mu.is_monic:
-        raise InconsistencyError("the first dependence is not monic")
-    if not verify_vanishing(g, mu):
-        raise InconsistencyError("certified relation failed to vanish")
-    return mu
-
-
 def _exact_reference(g, max_iter=16, max_deg=512):
-    """lf_certify with the Fraction finder and the exact relation patched
-    in, so no prime takes part in the elimination.  The search prime still
-    evaluates the top forms, and each nonzero value proves a degree."""
+    """lf_certify with the Fraction finder patched in, and rational
+    reconstruction patched out, so no prime takes part in the elimination,
+    CRT or reconstruction: the first prime that decides returns the exact
+    dependence.  The search prime still evaluates the top forms, and each
+    nonzero value proves a degree."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(locfin, "DependenceFinder", lambda p: FractionDependenceFinder())
-        mp.setattr(locfin, "_lift", _exact_relation)
+        mp.setattr(locfin, "rational_reconstruction", lambda r, modulus: r)
         return lf_certify(g, max_iter, max_deg)
 
 
@@ -437,6 +428,19 @@ def _recording_finders(mp):
 
     mp.setattr(locfin, "DependenceFinder", record)
     return built
+
+
+def _recording_searches(mp):
+    """The list of primes the library's searches run with, in order."""
+    searched = []
+    real = locfin._search
+
+    def record(g, max_iter, max_deg, p):
+        searched.append(p)
+        return real(g, max_iter, max_deg, p)
+
+    mp.setattr(locfin, "_search", record)
+    return searched
 
 
 SAMPLED_MAPS = {
@@ -505,8 +509,8 @@ def test_certify_lifts_through_crt_without_fallback(monkeypatch):
         # 3 divides a coefficient, which would zero out the values of the
         # top forms: the search rotates to P0
         ("x1 + 3*x2^2, x2", 2, (3,), True),
-        # mod 5, -2 does not lift; 3 finds an earlier dependence and is
-        # skipped, and P0 is combined with 5
+        # mod 5, -2 does not lift; 3 divides a coefficient and is skipped,
+        # and P0 is combined with 5
         ("x1 + 3*x2^2, x2", 2, (5, 3), True),
         # mod 3, T^2 - 3T + 2 lifts to T^2 - 1, which does not vanish, so
         # P0 is combined with 3 ...
@@ -521,15 +525,20 @@ def test_certify_lifts_through_crt_without_fallback(monkeypatch):
         # coefficient 2, and iterate 2 is the identity mod 2: a dependence
         # while backfilling, so the search rotates to P0
         ("x1 + x2^2 + x3^2, x2 + x4^2, x3 + x4^2, x4", 4, (2,), True),
+        # mod 3 the map is the identity: T - 1, found at iterate 1, does not
+        # vanish, and P0's dependence at iterate 2 replaces it
+        ("x1, 4*x2", 2, (3,), True),
     ],
 )
 def test_unlucky_primes(monkeypatch, text, n, primes, reaches_real_primes):
     built = _recording_finders(monkeypatch)
+    searched = _recording_searches(monkeypatch)
     _primes_first(monkeypatch, primes)
     g = parse_map(text, n)
     r = lf_certify(g)
     assert r.certified
     assert built == [*primes, *([P0] if reaches_real_primes else [])]
+    assert searched == built  # each prime's finder is its search's
     assert r == _exact_reference(g)
 
 
