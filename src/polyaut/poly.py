@@ -23,7 +23,12 @@ For the length of one product each operand becomes integer numerators
 over one common denominator, keyed by its exponent tuple packed into a
 single int (after Monagan and Pearce, CASC 2007), so the inner loop adds
 ints and multiplies ints.  The result is unpacked once, back into the
-canonical map above.  A one-term factor skips the kernel.  Exact division
+canonical map above.  The kernel does only the work its operands need.
+A one-term factor skips it, and so does a substitution whose arguments
+all have one term, such as the scalings c_l * x_l of a diagonal: each
+term then maps straight to one term.  A square (the same packed dict
+twice, as `Poly.__pow__` and the second power of an argument give it)
+takes each cross product once.  Exact division
 (in `Poly.divide_exact` and the determinant in `endo`) shares the packing:
 `_divide_packed`.  Packing lives only inside these kernels; `terms` stays
 the canonical {exponent tuple: Fraction} map.
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import reprlib
 from fractions import Fraction
+from functools import reduce
 from itertools import groupby
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
@@ -322,7 +328,8 @@ class Poly(Record):
             )
         shifts = _shifts(self.n, max(map(sum, a)) + max(map(sum, b)))
         ia, la = _pack(a, shifts)
-        ib, lb = _pack(b, shifts)
+        # a square packs once, so that the kernel sees one dict twice
+        ib, lb = (ia, la) if a is b else _pack(b, shifts)
         return Poly._raw(self.n, _unpack(_convolve(ia, ib), la * lb, shifts))
 
     __rmul__ = __mul__
@@ -409,9 +416,12 @@ class Poly(Record):
 def _substitute(polys: Sequence[Poly], args: Sequence[Poly]) -> list:
     """[p.substitute(args) for p in polys], for polys of one dimension n.
 
-    The arguments are checked, packed and raised to their powers once for
+    The arguments are checked first.  When each has exactly one term,
+    every term maps to one term (_substitute_monomials) and nothing is
+    packed.  Otherwise they are packed and raised to their powers once for
     the whole list, up to the largest exponent over all the polys, in one
-    field width; then each poly takes its own Horner pass.
+    field width; then each poly takes its own Horner pass, in which a
+    prefix's product of powers starts from its first nonzero power.
     """
     n = polys[0].n
     args = list(args)
@@ -421,6 +431,8 @@ def _substitute(polys: Sequence[Poly], args: Sequence[Poly]) -> list:
     for q in args:
         if q.n != m:
             raise ValueError("substitution arguments have mixed dimensions")
+    if all(len(q.terms) == 1 for q in args):
+        return [Poly._raw(m, _substitute_monomials(p.terms, args)) for p in polys]
     monos = [mono for p in polys for mono in p.terms]
     if not monos:
         return [Poly.zero(m) for _ in polys]
@@ -462,13 +474,31 @@ def _substitute(polys: Sequence[Poly], args: Sequence[Poly]) -> list:
                     s *= sc[e]
                 for key, v in powers[last][mono[last]].items():
                     inner[key] = get(key, 0) + s * v
-            factor = {0: 1}
-            for pw, e in zip(powers, prefix):
-                if e:
-                    factor = _convolve(factor, pw[e])
-            _convolve(factor, inner, out)
+            factors = [pw[e] for pw, e in zip(powers, prefix) if e]
+            _convolve(reduce(_convolve, factors) if factors else {0: 1}, inner, out)
         results.append(Poly._raw(m, _unpack(out, lc * scale, shifts)))
     return results
+
+
+def _substitute_monomials(terms: dict, args: Sequence[Poly]) -> dict:
+    """The canonical terms of the substitution of one-term arguments
+    a_k * x^e_k: the term c * x^mono goes to the one term
+    c * prod a_k^mono_k * x^(sum mono_k * e_k).  Terms that land on the
+    same monomial are added, and a sum of zero is dropped."""
+    exps, coeffs = zip(*(next(iter(q.terms.items())) for q in args))
+    nums = [a.numerator for a in coeffs]
+    dens = [a.denominator for a in coeffs]
+    cols = list(zip(*exps))  # cols[j][k]: exponent of x_j in argument k
+    out = {}
+    for mono, c in terms.items():
+        key = tuple([sum(map(mul, mono, col)) for col in cols])
+        c = Fraction(c.numerator * prod(map(pow, nums, mono)),
+                     c.denominator * prod(map(pow, dens, mono)))
+        if key in out:
+            out[key] += c
+        else:
+            out[key] = c
+    return {k: v for k, v in out.items() if v}
 
 
 # ----------------------------------------------------------------------
@@ -510,11 +540,23 @@ def _unpack(packed: dict, den: int, shifts: range) -> dict:
 def _convolve(a: dict, b: dict, out: dict | None = None) -> dict:
     """Product of two packed term maps, added into out (a new dict if None).
 
-    Zero coefficients may remain in the result; _unpack drops them.
+    When a and b are the same dict, the product is a square, and each
+    cross product a_i * a_j with i < j is taken once and doubled.  Zero
+    coefficients may remain in the result; _unpack drops them.
     """
     if out is None:
         out = {}
     get = out.get
+    if a is b:
+        items = list(a.items())
+        for i, (ka, ca) in enumerate(items):
+            k = ka + ka
+            out[k] = get(k, 0) + ca * ca
+            ca += ca  # a_i * a_j below stands for a_j * a_i too
+            for kb, cb in items[i + 1:]:
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+        return out
     if len(a) > len(b):
         a, b = b, a
     b = list(b.items())

@@ -95,6 +95,12 @@ class Affine(Record):
 Generator = Union[Diagonal, Elementary, Affine]
 
 
+#: The largest dimension a word document may give.  The normal form of
+#: even the empty word holds n scalars, so a short document with a huge n
+#: would otherwise build and print a huge diagonal.
+MAX_WORD_DIMENSION = 10**6
+
+
 class TameWord(Record):
     """A composition G_1 o ... o G_s of generators (the tuple factors) in
     dimension n; the empty word is the identity."""
@@ -125,6 +131,10 @@ class TameWord(Record):
             raise ValueError("word document needs 'n' and 'factors'")
         n = doc["n"]
         check_dimension(n)
+        if n > MAX_WORD_DIMENSION:
+            raise ValueError(
+                f"word dimension {_brief(n)} is above the cap {MAX_WORD_DIMENSION}"
+            )
         if not isinstance(doc["factors"], list):
             raise ValueError("'factors' must be a list")
         return cls(tuple(_gen_from_json(f, n) for f in doc["factors"]), n)
@@ -417,7 +427,7 @@ def normal_form(w: TameWord) -> NormalForm:
             flat.append(f)
 
     elementaries = []
-    diag = Diagonal(tuple(Fraction(1) for _ in range(n)))
+    diag = Diagonal((1,) * n)
     for f in flat:
         if isinstance(f, Diagonal):
             diag = _merge_diagonals(diag, f)

@@ -482,6 +482,8 @@ LONG = "x" * 3000
     # digits are the ASCII 0-9, as in every other number of the documents
     ("parse-check", {"n": 1, "coords": ["\u0663"]}),
     ("parse-check", {"n": 1, "coords": ["x1^\uff19"]}),
+    # a word dimension far above the cap, quoted in the refusal
+    ("normal-form", {"n": 10**3000, "factors": []}),
 ])
 def test_error_line_stays_short(capsys, tmp_path, subcommand, doc):
     path = tmp_path / "doc.json"

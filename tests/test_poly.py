@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polyaut import poly
 from polyaut.endo import Endo
 from polyaut.poly import NEG_INF, Poly, is_int, monomial_degree
 
@@ -295,6 +296,70 @@ def test_substitute_matches_per_term_reference(data, n, m):
     p = data.draw(polys(n, max_terms=6))
     args = data.draw(substitution_args(n, m))
     assert p.substitute(args) == substitute_per_term(p, args)
+
+
+def one_term_args(n, m):
+    """n one-term arguments in dimension m.  Exponents are 0 or 1, so two
+    arguments often share a monomial and the terms they make merge."""
+    arg = st.builds(lambda mono, c: Poly(m, {mono: c}),
+                    st.tuples(*([st.integers(0, 1)] * m)), coeffs)
+    return st.lists(arg, min_size=n, max_size=n)
+
+
+@given(st.data(), st.integers(1, 3), st.integers(1, 3))
+@settings(deadline=None)
+def test_one_term_substitution_matches_per_term_reference(data, n, m):
+    p = data.draw(polys(n, max_terms=6))
+    args = data.draw(one_term_args(n, m))
+    assert p.substitute(args) == substitute_per_term(p, args)
+
+
+def test_one_term_substitution_merges_and_cancels():
+    (y,) = V(1)
+    # x1^2 - 4*x2 at (2*y, y^2): both terms land on y^2 and cancel
+    p = Poly(2, {(2, 0): 1, (0, 1): -4})
+    assert p.substitute([2 * y, y**2]).terms == {}
+    x1, x2, x3 = V(3)
+    args = [Fraction(1, 2) * y, -Fraction(1, 2) * y, 3 * y**2]
+    # x1 and x2 cancel, x1^2 and x2^2 merge, x3 stays
+    p = x1 + x2 + x1**2 + x2**2 + Fraction(1, 3) * x3 - 5
+    assert p.substitute(args) == Fraction(1, 2) * y**2 + y**2 - 5
+    assert p.substitute(args) == substitute_per_term(p, args)
+    assert (x1 + x2).substitute(args).terms == {}
+
+
+def test_one_term_substitution_skips_the_kernel(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the product kernel was called")
+
+    x, y, z = V(3)
+    p = (x + 2 * y - Fraction(1, 3) * z + 1) ** 3
+    args = [Fraction(2, 3) * x * y, -z, Poly.constant(3, 5)]
+    expected = substitute_per_term(p, args)
+    monkeypatch.setattr(poly, "_convolve", refuse)
+    assert p.substitute(args) == expected
+
+
+packed_terms = st.dictionaries(st.integers(0, 64), st.integers(-50, 50), max_size=8)
+
+
+def nonzero(terms):
+    return {k: v for k, v in terms.items() if v}
+
+
+@given(packed_terms, packed_terms)
+def test_square_kernel_matches_general_kernel(a, out):
+    # the same dict twice takes the square path, a copy the general one
+    assert nonzero(poly._convolve(a, a)) == nonzero(poly._convolve(a, dict(a)))
+    assert nonzero(poly._convolve(a, a, dict(out))) == nonzero(
+        poly._convolve(a, dict(a), dict(out)))
+
+
+@given(polys(3, max_terms=6))
+def test_square_matches_direct_convolution(p):
+    assert p * p == direct_convolution(p, p)
+    assert p**2 == direct_convolution(p, p)
+    assert p**3 == direct_convolution(direct_convolution(p, p), p)
 
 
 def test_dense_substitution_matches_per_term_reference():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyaut import cli, tame
+from polyaut import cli, poly, tame
 from polyaut.endo import Endo, verify_inverse_pair
 from polyaut.locfin import InconsistencyError
 from polyaut.poly import Poly
@@ -239,6 +239,22 @@ def test_push_composes_no_maps(monkeypatch):
     for n in (1, 2, 3, 4):
         for _ in range(10):
             push_diagonal(random_diagonal(rng, n), random_elementary(rng, n, 3))
+
+
+def test_normal_form_never_reaches_the_product_kernel(monkeypatch):
+    # every push checks its slot with one substitution of the one-term
+    # arguments c_l * x_l, which maps terms to terms without the kernel
+    def refuse(*args):
+        raise AssertionError("the product kernel was called")
+
+    rng = random.Random(37)
+    words = [random_word(rng, n, 8) for n in (1, 2, 3, 4) for _ in range(8)]
+    words.append(TameWord((random_affine(rng, 3), random_diagonal(rng, 3),
+                           random_elementary(rng, 3, 3), random_affine(rng, 3)), 3))
+    assert any(isinstance(f, Affine) for w in words for f in w.factors)
+    monkeypatch.setattr(poly, "_convolve", refuse)
+    for w in words:
+        normal_form(w)
 
 
 # ----------------------------------------------------------------------
@@ -479,6 +495,26 @@ def test_normal_form_command_finishes(tmp_path, text):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.endswith("recomposition_verified: true\n")
+
+
+def test_word_document_above_the_dimension_cap_exits_3(tmp_path):
+    # refused before any n-entry diagonal is built, so at once
+    word = tmp_path / "word.json"
+    word.write_text('{"n": 10000000000, "factors": []}')
+    out = subprocess.run(
+        [sys.executable, "-m", "polyaut.cli", "normal-form", "--file", str(word)],
+        capture_output=True, text=True, env=_library_env(), timeout=20,
+    )
+    assert out.returncode == 3, out.stderr
+    assert out.stdout == ""
+    assert "above the cap 1000000" in out.stderr
+
+
+def test_word_dimension_cap_is_inclusive():
+    cap = tame.MAX_WORD_DIMENSION
+    assert TameWord.from_json_dict({"n": cap, "factors": []}).n == cap
+    with pytest.raises(ValueError, match="word dimension 1000001 is above the cap"):
+        TameWord.from_json_dict({"n": cap + 1, "factors": []})
 
 
 def test_jacobian_bookkeeping():
