@@ -5,6 +5,11 @@ Exit codes: 0 success/verified, 1 verification false or inconsistent data,
 (syntax, dimensions, flags, files).  Output on stdout is byte-deterministic
 for identical inputs; diagnostics go to stderr.
 
+Each subcommand prints nothing: it returns its result as a triple (exit
+code, JSON document, text lines), and main, the one place that prints,
+writes either the document or the lines.  So the two formats come from one
+result and cannot disagree, and a failed check leaves stdout empty.
+
 Every call is a fresh interpreter, so this module loads at start only what
 all subcommands share (textio, which brings in poly and endo).  Each
 subcommand imports its own layer when it runs: locfin for lf-certify and
@@ -19,8 +24,7 @@ import sys
 
 from .endo import Endo
 from .poly import InconsistencyError, Poly, VerificationError
-from .textio import (MapDocument, ParseError, _read_rational, parse_map, render_map,
-                     render_poly)
+from .textio import MapDocument, ParseError, _read_rational, parse_map, render_poly
 
 
 class _UsageError(Exception):
@@ -32,12 +36,6 @@ class _ArgumentParser(argparse.ArgumentParser):
     # verdicts, so route usage problems through exit 3 instead
     def error(self, message):
         raise _UsageError(message)
-
-
-def _emit_json(doc: dict):
-    import json
-
-    print(json.dumps(doc, indent=2))
 
 
 def _read_text(path: str) -> str:
@@ -87,86 +85,71 @@ def _as_elementary(g: Endo):
     return Elementary(i + 1, g.coords[i] - xs[i])  # validates X_i-freeness
 
 
-def _map_output(g: Endo, fmt: str):
-    if fmt == "json":
-        _emit_json(MapDocument(g).to_json_dict())
-    else:
-        print(render_map(g))
+def _map_result(g: Endo):
+    doc = MapDocument(g).to_json_dict()
+    return 0, doc, [", ".join(doc["coords"])]
+
+
+def _report_result(report):
+    """An lf_certify report, with exit code 0 if it is certified, else 2."""
+    mu = report.minimal_polynomial
+    return 0 if report.certified else 2, report.to_json_dict(), [
+        f"verdict: {report.verdict}",
+        f"minimal_polynomial: {mu if mu is not None else 'none'}",
+        "iterate_degrees: " + " ".join(str(d) for d in report.iterate_degrees),
+        f"budget_used: iterations={report.budget_used[0]} "
+        f"max_degree={report.budget_used[1]}",
+    ]
+
+
+def _witness_result(w):
+    return 0, w.to_json_dict(), w.transcript
 
 
 # ----------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (exit code, JSON document, text lines)
 
-def _cmd_compose(args) -> int:
+def _cmd_compose(args):
     maps = _load_maps(args.map or [], args.file or [], args.n)
     result = maps[0]
     for g in maps[1:]:
         result = result.compose(g)
-    _map_output(result, args.format)
-    return 0
+    return _map_result(result)
 
 
-def _cmd_iterate(args) -> int:
+def _cmd_iterate(args):
+    return _map_result(_load_single_map(args).iterate(args.times))
+
+
+def _cmd_jacobian(args):
     g = _load_single_map(args)
-    _map_output(g.iterate(args.times), args.format)
-    return 0
+    det = render_poly(g.jacobian_det())
+    return 0, {"n": g.n, "jacobian_det": det}, [det]
 
 
-def _cmd_jacobian(args) -> int:
-    g = _load_single_map(args)
-    det = g.jacobian_det()
-    if args.format == "json":
-        _emit_json({"n": g.n, "jacobian_det": render_poly(det)})
-    else:
-        print(render_poly(det))
-    return 0
-
-
-def _report_output(report, fmt: str) -> int:
-    """Print an lf_certify report; 0 if it is certified, else 2."""
-    if fmt == "json":
-        _emit_json(report.to_json_dict())
-    else:
-        mu = report.minimal_polynomial
-        print(f"verdict: {report.verdict}")
-        print(f"minimal_polynomial: {mu if mu is not None else 'none'}")
-        print("iterate_degrees:", " ".join(str(d) for d in report.iterate_degrees))
-        print(
-            f"budget_used: iterations={report.budget_used[0]} "
-            f"max_degree={report.budget_used[1]}"
-        )
-    return 0 if report.certified else 2
-
-
-def _cmd_lf_certify(args) -> int:
+def _cmd_lf_certify(args):
     from .locfin import lf_certify
 
     g = _load_single_map(args)
-    return _report_output(
-        lf_certify(g, max_iter=args.budget_iter, max_deg=args.budget_deg), args.format
-    )
+    return _report_result(lf_certify(g, max_iter=args.budget_iter, max_deg=args.budget_deg))
 
 
-def _cmd_minpoly_invert(args) -> int:
+def _cmd_minpoly_invert(args):
     from .locfin import inverse_from_minpoly, lf_certify
 
     g = _load_single_map(args)
     report = lf_certify(g, max_iter=args.budget_iter, max_deg=args.budget_deg)
     if not report.certified:
-        return _report_output(report, args.format)
-    inv = inverse_from_minpoly(g, report.minimal_polynomial)
-    if args.format == "json":
-        _emit_json({
-            "minimal_polynomial": report.minimal_polynomial.to_coeff_strings(),
-            "inverse": MapDocument(inv).to_json_dict(),
-        })
-    else:
-        print(f"minimal_polynomial: {report.minimal_polynomial}")
-        print(f"inverse: {render_map(inv)}")
-    return 0
+        return _report_result(report)
+    mu = report.minimal_polynomial
+    inv = MapDocument(inverse_from_minpoly(g, mu)).to_json_dict()
+    return 0, {"minimal_polynomial": mu.to_coeff_strings(), "inverse": inv}, [
+        f"minimal_polynomial: {mu}",
+        "inverse: " + ", ".join(inv["coords"]),
+    ]
 
 
-def _cmd_normal_form(args) -> int:
+def _cmd_normal_form(args):
     import json
 
     from .tame import TameWord, normal_form
@@ -174,50 +157,33 @@ def _cmd_normal_form(args) -> int:
     # normal_form certifies every step it takes (see its docstring), and a
     # failed step raises InconsistencyError before anything is printed
     doc = normal_form(TameWord.from_json(_read_text(args.file))).to_word().to_json_dict()
-    if args.format == "json":
-        doc["recomposition_verified"] = True
-        _emit_json(doc)
-    else:
-        for f in doc["factors"]:
-            print(json.dumps(f))
-        print("recomposition_verified: true")
-    return 0
+    lines = [json.dumps(f) for f in doc["factors"]] + ["recomposition_verified: true"]
+    doc["recomposition_verified"] = True
+    return 0, doc, lines
 
 
-def _witness_output(w, fmt: str) -> int:
-    if fmt == "json":
-        _emit_json(w.to_json_dict())
-    else:
-        for line in w.transcript:
-            print(line)
-    return 0
-
-
-def _cmd_witness_obs2(args) -> int:
+def _cmd_witness_obs2(args):
     from .witness import witness_obs2
 
-    e = _as_elementary(_load_single_map(args))
-    return _witness_output(witness_obs2(e), args.format)
+    return _witness_result(witness_obs2(_as_elementary(_load_single_map(args))))
 
 
-def _cmd_witness_obs3(args) -> int:
+def _cmd_witness_obs3(args):
     from .witness import witness_obs3
 
     a = _read_rational(args.a)
     e = _as_elementary(_load_single_map(args))
-    return _witness_output(witness_obs3(e, a=a, j=args.j), args.format)
+    return _witness_result(witness_obs3(e, a=a, j=args.j))
 
 
-def _cmd_nagata_verify(args) -> int:
+def _cmd_nagata_verify(args):
     from .witness import witness_obs4
 
-    return _witness_output(witness_obs4(), args.format)
+    return _witness_result(witness_obs4())
 
 
-def _cmd_parse_check(args) -> int:
-    g = _load_single_map(args)
-    _map_output(g, args.format)
-    return 0
+def _cmd_parse_check(args):
+    return _map_result(_load_single_map(args))
 
 
 # ----------------------------------------------------------------------
@@ -310,7 +276,14 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code, doc, lines = args.func(args)
+        if args.format == "json":
+            import json
+
+            print(json.dumps(doc, indent=2))
+        else:
+            print("\n".join(lines))
+        return code
     except _UsageError as exc:
         print(f"polyaut: error: {exc}", file=sys.stderr)
         return 3

@@ -1,8 +1,16 @@
 """End-to-end command tests: every exit code path, byte determinism."""
 
+import contextlib
+import io
 import json
+import os
+import re
+import tempfile
+from math import prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polyaut.cli import main
 
@@ -175,15 +183,19 @@ def test_map_file_is_parsed_once(capsys, tmp_path, monkeypatch, fmt):
 # ----------------------------------------------------------------------
 # exit 1: verification false
 
-def test_inconsistent_minpoly_gives_exit_1(capsys):
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_inconsistent_minpoly_gives_exit_1(capsys, fmt):
     # the zero map certifies with mu = T, whose constant term is zero:
     # honest proof the input is no automorphism
-    code, _, err = run(capsys, "minpoly-invert", "--n", "2", "--map", "0, 0")
+    code, out, err = run(capsys, "minpoly-invert", "--n", "2", "--map", "0, 0",
+                         "--format", fmt)
     assert code == 1
+    assert out == ""
     assert "verification failed" in err
 
 
-def test_failed_witness_gives_exit_1(capsys, monkeypatch):
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_failed_witness_gives_exit_1(capsys, monkeypatch, fmt):
     import polyaut.witness
     from polyaut.poly import VerificationError
 
@@ -191,7 +203,8 @@ def test_failed_witness_gives_exit_1(capsys, monkeypatch):
         raise VerificationError("witness chain does not recompose to F")
 
     monkeypatch.setattr(polyaut.witness, "witness_obs2", fails)
-    code, out, err = run(capsys, "witness-obs2", "--n", "2", "--map", "X+Y^2, Y")
+    code, out, err = run(capsys, "witness-obs2", "--n", "2", "--map", "X+Y^2, Y",
+                         "--format", fmt)
     assert code == 1
     assert out == ""
     assert err == "polyaut: verification failed: witness chain does not recompose to F\n"
@@ -495,3 +508,139 @@ def test_error_line_stays_short(capsys, tmp_path, subcommand, doc):
     assert lines[0].startswith("polyaut: error: ")
     assert "nested too deeply" not in lines[0]
 
+
+
+# ----------------------------------------------------------------------
+# fuzzing: any text, any JSON document, ends in a documented exit code
+
+def _mostly(good, other):
+    """Draws from good three times in four, else from other (one_of would
+    merge repeated branches)."""
+    return st.integers(0, 3).flatmap(lambda k: good if k else other)
+
+
+# expressions of the grammar, and text near it with any character in it
+_EXPR = st.recursive(
+    st.sampled_from(["x1", "x2", "x3", "X", "Y", "Z", "0", "1", "2", "1/2", "-3/4"]),
+    lambda e: (st.tuples(e, st.sampled_from([" + ", " - ", "*", "/"]), e).map("".join)
+               | st.tuples(e, st.sampled_from(["0", "1", "2", "3", "9"]))
+               .map(lambda t: f"({t[0]})^{t[1]}")
+               | e.map("-".__add__)),
+    max_leaves=6,
+)
+_NOISE = st.lists(
+    _mostly(st.sampled_from(["x1", "x2", "x4", "X", "Y", "Z", "0", "12", "1/2", "+", "-",
+                             "*", "/", "^", "^2", "^9", "(", ")", ",", " "]),
+            st.characters()),
+    max_size=20,
+).map("".join)
+COORD = _mostly(_EXPR, _NOISE)
+
+# exponents have no budget yet, and nested powers multiply degrees, so the
+# exponents of one input multiply to at most 9 (iterate, which has no budget
+# either, is left out)
+_EXPONENT = re.compile(r"\^\s*([0-9]+)")
+
+
+def _bounded_powers(text):
+    return prod(max(int(e), 1) for e in _EXPONENT.findall(text)) <= 9
+
+
+_BUDGETS = ["--budget-iter", "6", "--budget-deg", "16"]
+
+
+def _main_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def _check_both_formats(argv):
+    """Exit code in 0..3 and equal in both formats, stdout the same bytes on
+    a rerun and empty unless there is a result (exit 0 or 2), and the JSON
+    output parses."""
+    if argv[0] in ("lf-certify", "minpoly-invert"):
+        argv = argv + _BUDGETS
+    codes = set()
+    for fmt in ("text", "json"):
+        code, out = _main_captured(argv + ["--format", fmt])
+        assert code in (0, 1, 2, 3), (argv, code)
+        assert _main_captured(argv + ["--format", fmt]) == (code, out)
+        if code in (1, 3):
+            assert out == ""
+        elif fmt == "json":
+            json.loads(out)
+        codes.add(code)
+    assert len(codes) == 1, argv
+
+
+@st.composite
+def map_texts(draw):
+    """(n, --map text): n coordinates, half the time all but one of them
+    the identity's, and one time in four a dimension that may not fit."""
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        coords = [f"x{k + 1}" for k in range(n)]
+        coords[draw(st.integers(0, n - 1))] += " + " + draw(COORD)
+    else:
+        coords = draw(st.lists(COORD, min_size=n, max_size=n))
+    return draw(_mostly(st.just(n), st.integers(-1, 4))), ", ".join(coords)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(["parse-check", "compose", "jacobian", "lf-certify", "minpoly-invert",
+                        "witness-obs2", "witness-obs3"]), map_texts())
+def test_any_map_text_ends_in_a_documented_exit(subcommand, n_text):
+    n, text = n_text
+    assume(_bounded_powers(text))
+    _check_both_formats([subcommand, "--n", str(n), "--map=" + text])
+
+
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.sampled_from([2**62, -10**30])
+    | st.floats() | st.sampled_from(["elementary", "diagonal", "affine", "1", "-1/2"]) | COORD,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(["n", "coords", "factors", "kind", "c"])
+                                     | st.text(max_size=3), inner, max_size=5)),
+    max_leaves=20,
+)
+
+
+@st.composite
+def json_documents(draw, word):
+    """A tame word (word true) or a map document, one field in four on
+    average replaced by any JSON value; or any JSON value at all."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(_ANY_JSON)
+
+    def field(good):
+        return draw(_mostly(good, _ANY_JSON))
+
+    n = draw(st.integers(1, 3))
+    vec = st.lists(st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/4"]), min_size=n, max_size=n)
+    if not word:
+        return {"n": field(st.just(n)), "coords": field(st.lists(COORD, min_size=n, max_size=n))}
+    factors = []
+    for kind in draw(st.lists(st.sampled_from(["elementary", "diagonal", "affine"]), max_size=4)):
+        if kind == "elementary":
+            factors.append({"kind": kind, "i": field(st.integers(1, n)), "g": field(COORD)})
+        elif kind == "diagonal":
+            factors.append({"kind": kind, "c": field(vec)})
+        else:
+            factors.append({"kind": kind, "A": field(st.lists(vec, min_size=n, max_size=n)),
+                            "b": field(vec)})
+    return {"n": field(st.just(n)), "factors": factors}
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(["normal-form", "parse-check", "lf-certify"]), st.data())
+def test_any_json_document_ends_in_a_documented_exit(subcommand, data):
+    doc = data.draw(json_documents(word=subcommand == "normal-form"))
+    assume(_bounded_powers(json.dumps(doc, ensure_ascii=False)))
+    text = json.dumps(doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        _check_both_formats([subcommand, "--file", path])

@@ -61,7 +61,9 @@ WORD = {"n": 2, "factors": [{"kind": "diagonal", "c": ["2", "1"]},
 SHEAR = ["--n", "2", "--map", "X+Y^2, Y"]
 
 
-@pytest.mark.parametrize("argv, exit_code, layer", [
+# each row runs in both formats: the text cases keep the ids they had before
+# the format column, and the json cases add "-json" to them
+_LAYER_ROWS = [
     (["compose", "--n", "2", "--map", "X+Y^2, Y", "--map", "X-Y^2, Y"], 0, BASE),
     (["iterate", *SHEAR, "--times", "3"], 0, BASE),
     (["jacobian", *SHEAR], 0, BASE),
@@ -73,16 +75,25 @@ SHEAR = ["--n", "2", "--map", "X+Y^2, Y"]
     (["witness-obs2", *SHEAR], 0, WITNESS),
     (["witness-obs3", *SHEAR], 0, WITNESS),
     (["nagata-verify"], 0, WITNESS),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, layer, fmt", [
+    pytest.param(argv, code, layer, fmt,
+                 id=f"argv{k}-{code}-layer{k}" + ("-json" if fmt == "json" else ""))
+    for fmt in ("text", "json") for k, (argv, code, layer) in enumerate(_LAYER_ROWS)
 ])
-def test_each_subcommand_loads_only_its_layer(tmp_path, argv, exit_code, layer):
+def test_each_subcommand_loads_only_its_layer(tmp_path, argv, exit_code, layer, fmt):
     (tmp_path / "word.json").write_text(json.dumps(WORD))
-    proc = fresh(_RUN_CLI, *argv, "--format", "text", cwd=tmp_path)
+    proc = fresh(_RUN_CLI, *argv, "--format", fmt, cwd=tmp_path)
     code, *loaded = proc.stderr.strip().split("\n")[-1].split()
     assert int(code) == exit_code
     assert {m for m in loaded if m.startswith("polyaut")} == layer
     assert "dataclasses" not in loaded and "inspect" not in loaded
-    # only normal-form reads a JSON document when the output is text
-    assert ("json" in loaded) == (argv[0] == "normal-form")
+    # json is loaded to print a JSON result (unusable input prints none)
+    # and by normal-form, which reads a JSON document
+    json_out = fmt == "json" and exit_code != 3
+    assert ("json" in loaded) == (json_out or argv[0] == "normal-form")
 
 
 def test_json_output_loads_json():
