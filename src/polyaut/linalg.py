@@ -1,10 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Small dense routines for matrices given as lists of Fraction rows, plus the
+Small dense routines for matrices given as lists of Fraction rows (the
+determinant is a scalar Bareiss elimination over the ints), plus the
 incremental sparse dependence finder over GF(p) used by the
 minimal-polynomial search, and rational reconstruction to lift its residues
 back to Q.  No floating point anywhere; every pivot decision is a
 deterministic "first nonzero entry" choice, in the order keys first appear.
+It all works on Fractions and ints, so no other polyaut module is imported.
 
 The finder packs each row into one int of fixed-width fields, so a row
 operation is one big-int multiply-add instead of a loop over entries.  A
@@ -16,16 +18,38 @@ operations cannot carry from one field into the next.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
-
-from .endo import SquareMatrixPoly
-from .poly import Poly
+from math import gcd, isqrt, lcm, prod
 
 
 def mat_det(rows) -> Fraction:
-    """Determinant, by the fraction-free elimination of SquareMatrixPoly."""
-    entries = [[Poly.constant(1, x) for x in row] for row in rows]
-    return SquareMatrixPoly(entries).det().constant_term()
+    """Determinant, by fraction-free (Bareiss) elimination over the ints,
+    with no polynomial arithmetic.
+
+    Each row is scaled to integers by the lcm of its denominators.  Each
+    step eliminates the first column of what is left and divides exactly
+    by the previous pivot, so every entry stays a minor of the scaled
+    matrix; a zero column gives 0.
+    """
+    rows = [[Fraction(x) for x in row] for row in rows]
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix must be square and nonempty")
+    scales = [lcm(*(x.denominator for x in row)) for row in rows]
+    m = [[x.numerator * (s // x.denominator) for x in row]
+         for row, s in zip(rows, scales)]
+    sign, prev = 1, 1
+    while len(m) > 1:
+        piv = next((r for r, row in enumerate(m) if row[0]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv:
+            m[0], m[piv] = m[piv], m[0]
+            sign = -sign
+        top = m[0]
+        p = top[0]
+        m = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], top[1:])]
+             for row in m[1:]]
+        prev = p
+    return Fraction(sign * m[0][0], prod(scales))
 
 
 def mat_inverse(rows):

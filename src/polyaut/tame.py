@@ -22,6 +22,7 @@ and the word is never composed as a map to check it.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Union
 
 from .endo import Endo
@@ -34,7 +35,8 @@ class Diagonal(Record):
     """(c_1 X_1, ..., c_n X_n) with every c_i nonzero; c is a tuple of
     Fractions."""
 
-    __slots__ = ("c",)
+    __slots__ = ("c", "_scaled")
+    _fields = ("c",)
 
     def __post_init__(self):
         c = tuple(Fraction(v) for v in self.c)
@@ -43,10 +45,21 @@ class Diagonal(Record):
         if any(v == 0 for v in c):
             raise ValueError("diagonal entries must be nonzero")
         object.__setattr__(self, "c", c)
+        object.__setattr__(self, "_scaled", None)  # not a field: copies drop it
 
     @property
     def n(self) -> int:
         return len(self.c)
+
+    def scaled_variables(self) -> tuple:
+        """The map as one-term polynomials c_l * X_l, built on first use
+        and kept on the diagonal, so every push through it shares them."""
+        if self._scaled is None:
+            n = self.n
+            object.__setattr__(self, "_scaled", tuple(
+                Poly._raw(n, {_unit_exponent(n, l): v}) for l, v in enumerate(self.c)
+            ))
+        return self._scaled
 
 
 class Elementary(Record):
@@ -254,9 +267,14 @@ def invert_word(w: TameWord) -> TameWord:
 # ----------------------------------------------------------------------
 # affine expansion
 
+def _unit_exponent(n: int, l: int) -> tuple:
+    # the exponent tuple of X_{l+1} in n variables
+    return (0,) * l + (1,) + (0,) * (n - l - 1)
+
+
 def _transvection(n: int, i: int, j: int, c: Fraction) -> Elementary:
     # the elementary matrix A_{i,j,c}: X_i += c*X_j, for a nonzero Fraction c
-    return Elementary(i, Poly._raw(n, {tuple(int(l == j - 1) for l in range(n)): c}))
+    return Elementary(i, Poly._raw(n, {_unit_exponent(n, j - 1): c}))
 
 
 def affine_to_word(f: Affine) -> TameWord:
@@ -332,18 +350,21 @@ def _affine_matrix(n: int, factors) -> list:
 # the normal form
 
 def _scaled_addend(g: Poly, c: tuple, i: int) -> Poly:
-    # g~ = c_i * g(X_1/c_1, ..., X_n/c_n), term by term: the term a * X^m
-    # becomes a * c_i * prod_l c_l^(-m_l) * X^m; every c_l is nonzero, so
-    # no coefficient vanishes and the terms stay canonical for Poly._raw
-    inv = [1 / v for v in c]
-    ci = c[i - 1]
-    terms = {}
-    for mono, a in g.terms.items():
-        for l, e in enumerate(mono):
-            if e:
-                a = a * inv[l] ** e
-        terms[mono] = a * ci
-    return Poly._raw(g.n, terms)
+    """g~ = c_i * g(X_1/c_1, ..., X_n/c_n), term by term, in integers.
+
+    With c_l = p_l/q_l in lowest terms, the term a * X^m becomes
+    a * (p_i * prod_l q_l^m_l) / (q_i * prod_l p_l^m_l) * X^m: one
+    Fraction per term, from products of ints.  Every c_l is nonzero, so
+    no coefficient vanishes and the terms stay canonical for Poly._raw.
+    """
+    ps = [v.numerator for v in c]
+    qs = [v.denominator for v in c]
+    pi, qi = ps[i - 1], qs[i - 1]
+    return Poly._raw(g.n, {
+        mono: Fraction(a.numerator * pi * prod(map(pow, qs, mono)),
+                       a.denominator * qi * prod(map(pow, ps, mono)))
+        for mono, a in g.terms.items()
+    })
 
 
 def push_diagonal(d: Diagonal, e: Elementary) -> tuple:
@@ -351,20 +372,19 @@ def push_diagonal(d: Diagonal, e: Elementary) -> tuple:
 
     g~ = c_i * g(X_1/c_1, ..., X_n/c_n); both sides add to slot i, where
     D contributes the factor c_i and E~'s addend must absorb it after the
-    variables have already been scaled.  g~ is computed term by term; the
-    composition identity D o E = E~ o D is the contract, checked on every
-    call, and InconsistencyError is raised if it fails.  Off slot i both
-    sides are c_l * X_l by the shapes of Diagonal and Elementary, so the
-    identity holds exactly when slot i agrees:
-    g~(c_1 X_1, ..., c_n X_n) == c_i * g, one substitution of monomials.
+    variables have already been scaled.  g~ is computed term by term, one
+    Fraction per term (_scaled_addend); the composition identity
+    D o E = E~ o D is the contract, checked on every call, and
+    InconsistencyError is raised if it fails.  Off slot i both sides are
+    c_l * X_l by the shapes of Diagonal and Elementary, so the identity
+    holds exactly when slot i agrees: g~(c_1 X_1, ..., c_n X_n) == c_i * g,
+    one substitution of monomials.  Its arguments c_l * X_l are built once
+    per diagonal (Diagonal.scaled_variables), not once per push.
     """
     if d.n != e.n:
         raise ValueError(f"dimension mismatch: {d.n} vs {e.n}")
     g_new = _scaled_addend(e.g, d.c, e.i)
-    # c_l * X_l as one-term polynomials: every c_l is a nonzero Fraction
-    scaled = [Poly._raw(d.n, {tuple(int(k == l) for k in range(d.n)): c})
-              for l, c in enumerate(d.c)]
-    if g_new.substitute(scaled) != e.g * d.c[e.i - 1]:
+    if g_new.substitute(d.scaled_variables()) != e.g * d.c[e.i - 1]:
         raise InconsistencyError("push identity D o E = E~ o D failed")
     return Elementary(e.i, g_new), d
 

@@ -56,6 +56,15 @@ def test_package_and_cli_import_no_heavy_layer():
         assert name not in out
 
 
+def test_linalg_imports_no_other_polyaut_module():
+    # the determinant works on ints alone, so linalg stands on its own
+    out = fresh(
+        "import sys, polyaut.linalg\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('polyaut')))"
+    ).stdout.split()
+    assert out == ["polyaut", "polyaut.linalg"]
+
+
 WORD = {"n": 2, "factors": [{"kind": "diagonal", "c": ["2", "1"]},
                             {"kind": "elementary", "i": 2, "g": "x1^2"}]}
 SHEAR = ["--n", "2", "--map", "X+Y^2, Y"]

@@ -1,8 +1,9 @@
 from fractions import Fraction
-from math import isqrt
+from itertools import combinations, permutations
+from math import isqrt, prod
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fraction_finder import FractionDependenceFinder
@@ -29,6 +30,42 @@ def test_det_values():
     assert mat_det([[1, 2], [3, 4]]) == -2
     assert mat_det([[0, 1], [1, 0]]) == -1
     assert mat_det([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
+
+
+def _leibniz_det(rows):
+    # the permutation sum: sgn(s) * prod_i rows[i][s(i)] over every s
+    n = len(rows)
+    return sum(
+        (-1) ** sum(a > b for a, b in combinations(s, 2))
+        * prod((rows[i][j] for i, j in enumerate(s)), start=Fraction(1))
+        for s in permutations(range(n))
+    )
+
+
+@st.composite
+def det_cases(draw):
+    # a sampled square matrix, with an edge case forced in most draws
+    n = draw(st.integers(min_value=1, max_value=4))
+    rows = draw(square(n))
+    edge = draw(st.sampled_from(["none", "zero row", "repeated row", "zero lead"]))
+    k = draw(st.integers(min_value=0, max_value=n - 1))
+    if edge == "zero row":
+        rows[k] = [Q(0)] * n
+    elif edge == "repeated row" and n > 1:
+        rows[(k + 1) % n] = list(rows[k])
+    elif edge == "zero lead":
+        rows[0][0] = Q(0)
+    return rows
+
+
+@given(det_cases())
+@example([[Q(0), Q(1, 2)], [Q(3, 4), Q(5)]])  # a zero pivot needs a swap
+@example([[Q(0), Q(1), Q(2)], [Q(0), Q(3), Q(1, 3)], [Q(0), Q(-2), Q(5)]])  # zero column
+@example([[Q(1, 2), Q(1, 3)], [Q(1, 2), Q(1, 3)]])  # repeated row
+@example([[Q(0), Q(0), Q(1)], [Q(0), Q(1), Q(0)], [Q(1), Q(0), Q(0)]])  # two swaps
+def test_det_matches_leibniz_reference(rows):
+    assert mat_det(rows) == _leibniz_det(rows)
+    assert type(mat_det(rows)) is Fraction
 
 
 def test_inverse_roundtrip():

@@ -11,7 +11,9 @@ import pytest
 from polyaut.endo import Endo
 from polyaut.locfin import LFReport, UniPoly, lf_certify
 from polyaut.poly import NEG_INF, Record
-from polyaut.tame import Affine, Diagonal, Elementary, NormalForm, TameWord
+from polyaut.tame import (
+    Affine, Diagonal, Elementary, NormalForm, TameWord, push_diagonal,
+)
 from polyaut.textio import MapDocument, ParseError, parse_map, parse_poly
 from polyaut.witness import Witness, witness_obs3
 
@@ -106,6 +108,18 @@ def test_records_are_immutable_and_copy():
                      copy.deepcopy(record)):
             assert twin == record
             assert hash(twin) == hash(record)
+    # a diagonal keeps the arguments c_l * x_l of the pushes through it;
+    # its value, and so every copy of it, reads only c
+    pushed, fresh = Diagonal((2, Fraction(-1, 3))), Diagonal((2, Fraction(-1, 3)))
+    push_diagonal(pushed, Elementary(1, parse_poly("x2^2 - 3", 2)))
+    assert pushed._scaled is not None and fresh._scaled is None
+    assert pushed == fresh and hash(pushed) == hash(fresh)
+    assert repr(pushed) == repr(fresh)
+    assert pickle.dumps(pushed) == pickle.dumps(fresh)
+    for twin in (pickle.loads(pickle.dumps(pushed)), copy.copy(pushed),
+                 copy.deepcopy(pushed)):
+        assert twin == fresh and hash(twin) == hash(fresh)
+        assert twin._scaled is None
 
 
 def test_defaults_and_keywords():

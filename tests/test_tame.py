@@ -202,6 +202,31 @@ def test_push_random_composition_identity():
             ).compose(gen_to_endo(d2))
 
 
+def _reference_scaled_addend(g, c, i):
+    # the Fraction formula first written: a * c_i * prod_l (1/c_l)^m_l
+    inv = [1 / v for v in c]
+    terms = {}
+    for mono, a in g.terms.items():
+        for l, e in enumerate(mono):
+            if e:
+                a = a * inv[l] ** e
+        terms[mono] = a * c[i - 1]
+    return terms
+
+
+scalars = st.fractions(min_value=-7, max_value=7, max_denominator=9).filter(bool)
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.lists(scalars, min_size=1, max_size=4))
+@settings(deadline=None, max_examples=80)
+def test_scaled_addend_matches_fraction_reference(seed, c):
+    g = random_poly(random.Random(seed), len(c), 4, 4)
+    for i in range(1, len(c) + 1):
+        got = tame._scaled_addend(g, tuple(c), i)
+        assert got.terms == _reference_scaled_addend(g, c, i)
+        assert all(type(a) is Fraction for a in got.terms.values())
+
+
 def _full_map_push_check(d, e, e_new):
     # the push check as first written: D o E == E~ o D as whole maps
     return gen_to_endo(d).compose(gen_to_endo(e)) == gen_to_endo(e_new).compose(
@@ -367,6 +392,30 @@ def test_each_elementary_is_pushed_once(monkeypatch):
     nf = normal_form(w)
     assert calls == elementaries
     assert len(nf.elementaries) == len(elementaries)
+
+
+def test_arguments_are_built_once_per_merged_diagonal(monkeypatch):
+    # every push substitutes the arguments c_l * x_l of the diagonal it
+    # goes through; the word below has three merged diagonals (the
+    # identity, D1 and D1 o D2) and twelve elementaries
+    rng = random.Random(43)
+    d1, d2 = random_diagonal(rng, 3), random_diagonal(rng, 3)
+    pushed = [[random_elementary(rng, 3, 2) for _ in range(4)] for _ in range(3)]
+    w = TameWord(tuple(pushed[0] + [d1] + pushed[1] + [d2] + pushed[2]), 3)
+    seen = []
+    substitute = Poly.substitute
+
+    def recorded(self, args):
+        seen.append(args)
+        return substitute(self, args)
+
+    monkeypatch.setattr(Poly, "substitute", recorded)
+    normal_form(w)
+    assert len(seen) == 12
+    assert len({id(args) for args in seen}) == 3
+    merged = ((1, 1, 1), d1.c, tuple(a * b for a, b in zip(d1.c, d2.c)))
+    for args, c in zip(seen[::4], merged):
+        assert list(args) == [v * x for v, x in zip(c, Poly.variables(3))]
 
 
 # ----------------------------------------------------------------------
