@@ -6,23 +6,24 @@ X_i), and invertible Affine maps X -> AX + b.  A TameWord is a finite
 composition, written left to right with the leftmost factor applied last,
 F = G_1 o ... o G_s.
 
-normal_form rewrites any word as E_1 o ... o E_s o D: affines are expanded
-into transvections and diagonals by Gaussian elimination, then one left to
-right scan keeps the product D of the diagonals seen so far and pushes each
-elementary through it once, using the exact rewriting D o E = E~ o D.  The
-rewriting rule is taken from the composition identity itself: E~ adds
-g~ = c_i * g(X_1/c_1, ..., X_n/c_n) to slot i.  Every push is checked
-exactly in slot i, the only coordinate where the two sides can differ, and
-each affine expansion is checked to recompose to [A | b] as a matrix; a
-failed check raises InconsistencyError, so it holds under python -O too.
-With diagonals merged exactly, these checks certify the whole normal form,
+normal_form rewrites any word as E_1 o ... o E_s o D in one left to right
+scan that keeps the product D of the diagonals seen so far.  The scan has
+three cases.  A diagonal is merged into D exactly.  An elementary is pushed
+through D once, using the exact rewriting D o E = E~ o D: E~ adds
+g~ = c_i * g(X_1/c_1, ..., X_n/c_n) to slot i, and the push is checked
+exactly in slot i, the only coordinate where the two sides can differ.  An
+affine factor is expanded into transvections and diagonals by Gauss-Jordan
+elimination in integers, its transvections are pushed and its diagonals
+merged, and the whole block is checked by one matrix identity: it must
+recompose to D o [A | b].  A failed check raises InconsistencyError, so it
+holds under python -O too.  These checks certify the whole normal form,
 and the word is never composed as a map to check it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import gcd, lcm, prod
 from typing import Union
 
 from .endo import Endo
@@ -281,23 +282,39 @@ def affine_to_word(f: Affine) -> TameWord:
     """Express an invertible affine map as elementaries and diagonals.
 
     The translation part becomes n constant elementaries; the linear part
-    is reduced by Gauss-Jordan elimination, emitting the inverse of each
-    row operation as a transvection, a zero pivot fixed by a row swap
-    expanded as T_{i,j} = A_{i,j,1} o A_{j,i,-1} o A_{i,j,1} o D~ with
-    D~ = -1 in slot i; whatever diagonal remains is the last factor.
-    The factors are then recomposed exactly as a matrix (_affine_matrix),
-    and InconsistencyError is raised unless they give [A | b].
+    is reduced by Gauss-Jordan elimination in integers, emitting the
+    inverse of each row operation as a transvection, a zero pivot fixed by
+    a row swap expanded as T_{i,j} = A_{i,j,1} o A_{j,i,-1} o A_{i,j,1} o D~
+    with D~ = -1 in slot i; whatever diagonal remains is the last factor
+    (_expand_affine).  The factors are then recomposed exactly as a matrix
+    (_affine_matrix), and InconsistencyError is raised unless they give
+    [A | b].
+    """
+    factors = _expand_affine(f)
+    if _affine_matrix(f.n, factors) != [list(col) for col in zip(*f.A)] + [list(f.b)]:
+        raise InconsistencyError("affine expansion does not recompose to [A | b]")
+    return TameWord(tuple(factors), f.n)
+
+
+def _expand_affine(f: Affine) -> list:
+    """The factors of affine_to_word, unchecked.
+
+    Row i of A is held as ints r_i over a denominator d_i.  Clearing entry
+    k of row i with pivot row k (pivot p_k = r_k[k]) is the transvection
+    with coefficient r_i[k] * d_k / (p_k * d_i), one Fraction, and leaves
+    the row p_k * r_i - r_i[k] * r_k over d_i * p_k, both divided by the
+    gcd of its entries and its denominator.
     """
     n = f.n
-    factors = []
-    for i in range(n):
-        if f.b[i]:
-            factors.append(Elementary(i + 1, Poly.constant(n, f.b[i])))
-    m = [list(row) for row in f.A]
+    factors = [Elementary(i + 1, Poly.constant(n, v)) for i, v in enumerate(f.b) if v]
+    rows = []
+    for row in f.A:
+        d = lcm(*(v.denominator for v in row))
+        rows.append(([v.numerator * (d // v.denominator) for v in row], d))
     for k in range(n):
-        r = next(r for r in range(k, n) if m[r][k] != 0)
+        r = next(r for r in range(k, n) if rows[r][0][k])
         if r != k:
-            m[k], m[r] = m[r], m[k]
+            rows[k], rows[r] = rows[r], rows[k]
             factors.extend(
                 [
                     _transvection(n, k + 1, r + 1, Fraction(1)),
@@ -308,42 +325,52 @@ def affine_to_word(f: Affine) -> TameWord:
                     ),
                 ]
             )
+        top, dk = rows[k]
+        pk = top[k]
         for i in range(n):
-            if i != k and m[i][k] != 0:
-                c = m[i][k] / m[k][k]
-                m[i] = [a - c * b if b else a for a, b in zip(m[i], m[k])]
-                factors.append(_transvection(n, i + 1, k + 1, c))
-    diag = tuple(m[k][k] for k in range(n))
+            row, di = rows[i]
+            a = row[k]
+            if i != k and a:
+                factors.append(_transvection(n, i + 1, k + 1, Fraction(a * dk, pk * di)))
+                row = [pk * x - a * y if y else pk * x for x, y in zip(row, top)]
+                g = gcd(di * pk, *row)
+                rows[i] = ([x // g for x in row], di * pk // g)
+    diag = tuple(Fraction(row[k], d) for k, (row, d) in enumerate(rows))
     if any(v != 1 for v in diag):
         factors.append(Diagonal(diag))
-    if _affine_matrix(n, factors) != [list(col) for col in zip(*f.A)] + [list(f.b)]:
-        raise InconsistencyError("affine expansion does not recompose to [A | b]")
-    return TameWord(tuple(factors), n)
+    return factors
 
 
 def _affine_matrix(n: int, factors) -> list:
     """The n + 1 columns of [A | b] for the map X -> AX + b that the factors
-    compose to, or None if one has a term of degree two or more.
+    compose to, as Fractions, or None if one has a term of degree two or
+    more.
 
     In homogeneous coordinates, composing with a factor on the right is a
-    column operation on [A | b], which starts as the identity in ints: a
-    diagonal scales column l by c_l, and adding a*X_l (or the constant a)
-    to slot i adds a times column i to column l (or to the last column).
-    Column i never moves, since g does not involve X_i.
+    column operation on [A | b], which starts as the identity: a diagonal
+    scales column l by c_l, and adding a*X_l (or the constant a) to slot i
+    adds a times column i to column l (or to the last column).  Column i
+    never moves, since g does not involve X_i.  Each column is held as ints
+    over one denominator, and becomes Fractions only at the end.
     """
-    cols = [[int(r == l) for r in range(n)] for l in range(n + 1)]
+    cols = [([int(r == l) for r in range(n)], 1) for l in range(n + 1)]
     for f in factors:
         if isinstance(f, Diagonal):
-            cols[:n] = [col if c == 1 else [c * v for v in col]
+            cols[:n] = [col if c == 1 else ([c.numerator * v for v in col[0]],
+                                            col[1] * c.denominator)
                         for c, col in zip(f.c, cols)]
             continue
-        src = cols[f.i - 1]
+        src, ds = cols[f.i - 1]
         for mono, a in f.g.terms.items():
             if sum(mono) > 1:
                 return None
             l = mono.index(1) if any(mono) else n
-            cols[l] = [v + a * s if s else v for v, s in zip(cols[l], src)]
-    return cols
+            col, d = cols[l]
+            q = a.denominator * ds
+            den = lcm(d, q)
+            s, t = den // d, a.numerator * (den // q)
+            cols[l] = ([v * s + t * w for v, w in zip(col, src)], den)
+    return [[Fraction(v, d) for v in col] for col, d in cols]
 
 
 # ----------------------------------------------------------------------
@@ -418,40 +445,63 @@ class NormalForm(Record):
         return TameWord(self.elementaries + (self.diagonal,), self.n)
 
 
+def _push_affine(d: Diagonal, f: Affine) -> tuple:
+    """Rewrite D o f as E~_1 o ... o E~_k o D', returned as
+    ([E~_1, ..., E~_k], D').
+
+    f is expanded (_expand_affine); each elementary of the expansion is
+    pushed through the diagonal merged so far with _scaled_addend alone,
+    and each of its diagonals is merged.  Every factor of the block is
+    affine, so one matrix identity checks it: the block recomposes
+    (_affine_matrix) to D o f, which for D = diag(c) has column l
+    (c_r * A[r][l])_r and last column (c_r * b_r)_r.  That proves D o f = E~_1 o ... o
+    E~_k o D' exactly, in place of a check per push and a check of the
+    expansion; InconsistencyError is raised if it fails.
+    """
+    c = d.c
+    block = []
+    for g in _expand_affine(f):
+        if isinstance(g, Diagonal):
+            d = _merge_diagonals(d, g)
+        else:
+            block.append(Elementary(g.i, _scaled_addend(g.g, d.c, g.i)))
+    expected = [[v * row[l] for v, row in zip(c, f.A)] for l in range(f.n)]
+    if _affine_matrix(f.n, block + [d]) != expected + [[v * b for v, b in zip(c, f.b)]]:
+        raise InconsistencyError("affine expansion does not recompose to [A | b]")
+    return block, d
+
+
 def normal_form(w: TameWord) -> NormalForm:
     """Rewrite a tame word as elementaries followed by one diagonal.
 
-    Affine factors are expanded first.  One scan from left to right then
-    keeps the product of the diagonals seen so far, merges each further
-    diagonal into it, and pushes each elementary through it exactly once.
-    Pushing through a product of diagonals gives the same g~ as pushing
-    through them one at a time, since c_i * g(X/c) is multiplicative in c.
+    One scan from left to right keeps the product of the diagonals seen so
+    far, merges each further diagonal into it, pushes each elementary
+    through it exactly once, and pushes each affine factor through it as
+    one block (_push_affine).  Pushing through a product of diagonals
+    gives the same g~ as pushing through them one at a time, since
+    c_i * g(X/c) is multiplicative in c.
 
-    The result recomposes to w, by induction over the scan.  The expanded
-    word equals w, since affine_to_word checks that its factors recompose
-    to [A | b].  Before the scan, the empty prefix is the identity, no
-    elementaries then the identity diagonal.  If a prefix equals
-    E_1 o ... o E_m o D, then the prefix one factor longer equals
-    E_1 o ... o E_m o (D o D') when that factor is a diagonal D', because
-    merging diagonals is exact, and E_1 o ... o E_m o E~ o D when it is an
-    elementary E, because push_diagonal checks D o E = E~ o D.  A failed
-    check raises InconsistencyError, so no unchecked result is returned,
-    and the word is never composed as a map.
+    The result recomposes to w, by induction over the scan.  Before the
+    scan, the empty prefix is the identity, no elementaries then the
+    identity diagonal.  If a prefix equals E_1 o ... o E_m o D, the prefix
+    one factor longer has three cases.  A diagonal D' gives
+    E_1 o ... o E_m o (D o D'), because merging diagonals is exact.  An
+    elementary E gives E_1 o ... o E_m o E~ o D, because push_diagonal
+    checks D o E = E~ o D.  An affine f gives
+    E_1 o ... o E_m o E~_1 o ... o E~_k o D', because _push_affine checks
+    D o f = E~_1 o ... o E~_k o D' as one matrix identity.  A failed check
+    raises InconsistencyError, so no unchecked result is returned, and the
+    word is never composed as a map.
     """
-    n = w.n
-    flat = []
-    for f in w.factors:
-        if isinstance(f, Affine):
-            flat.extend(affine_to_word(f).factors)
-        else:
-            flat.append(f)
-
     elementaries = []
-    diag = Diagonal((1,) * n)
-    for f in flat:
+    diag = Diagonal((1,) * w.n)
+    for f in w.factors:
         if isinstance(f, Diagonal):
             diag = _merge_diagonals(diag, f)
-        else:
+        elif isinstance(f, Elementary):
             e_new, diag = push_diagonal(diag, f)
             elementaries.append(e_new)
+        else:
+            block, diag = _push_affine(diag, f)
+            elementaries += block
     return NormalForm(tuple(elementaries), diag)

@@ -8,11 +8,12 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polyaut import cli, poly, tame
 from polyaut.endo import Endo, verify_inverse_pair
+from polyaut.linalg import mat_det
 from polyaut.locfin import InconsistencyError
 from polyaut.poly import Poly
 from polyaut.tame import (
@@ -162,6 +163,121 @@ def test_affine_to_word_random_recomposition():
             assert word_to_endo(w) == gen_to_endo(a)
 
 
+def _reference_affine_factors(f):
+    # the Fraction Gauss-Jordan first written; also counts the row swaps
+    n = f.n
+    factors = [Elementary(i + 1, Poly.constant(n, v)) for i, v in enumerate(f.b) if v]
+    m = [list(row) for row in f.A]
+    swaps = 0
+    for k in range(n):
+        r = next(r for r in range(k, n) if m[r][k] != 0)
+        if r != k:
+            swaps += 1
+            m[k], m[r] = m[r], m[k]
+            factors += [Elementary(k + 1, Poly.variable(n, r + 1)),
+                        Elementary(r + 1, -Poly.variable(n, k + 1)),
+                        Elementary(k + 1, Poly.variable(n, r + 1)),
+                        Diagonal(tuple(Q(-1 if l == k else 1) for l in range(n)))]
+        for i in range(n):
+            if i != k and m[i][k] != 0:
+                c = m[i][k] / m[k][k]
+                m[i] = [a - c * b for a, b in zip(m[i], m[k])]
+                factors.append(Elementary(i + 1, c * Poly.variable(n, k + 1)))
+    diag = tuple(m[k][k] for k in range(n))
+    if any(v != 1 for v in diag):
+        factors.append(Diagonal(diag))
+    return factors, swaps
+
+
+entries = st.fractions(min_value=-7, max_value=7, max_denominator=9)
+
+
+@st.composite
+def forced_affines(draw):
+    """(case, f): most draws force a zero pivot at some step k (row k agrees
+    with a combination of the rows above it up to column k), a negative
+    first pivot, or the identity matrix."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    case = draw(st.sampled_from(("zero pivot", "negative pivot", "identity", "free")))
+    if case == "zero pivot" and n > 1:
+        k = draw(st.integers(min_value=0, max_value=n - 2))
+        weights = [draw(entries) for _ in range(k)]
+        for j in range(k + 1):
+            rows[k][j] = sum((w * rows[t][j] for t, w in enumerate(weights)), Q(0))
+    elif case == "negative pivot":
+        rows[0][0] = -abs(rows[0][0]) or Q(-1)
+    elif case == "identity":
+        rows = [[Q(int(r == l)) for l in range(n)] for r in range(n)]
+    else:
+        case = "free"
+    assume(mat_det(rows) != 0)
+    return case, Affine(rows, [draw(entries) for _ in range(n)])
+
+
+@given(forced_affines())
+@settings(deadline=None, max_examples=200)
+def test_integer_expansion_matches_fraction_reference(case_and_affine):
+    case, f = case_and_affine
+    ref, swaps = _reference_affine_factors(f)
+    got = affine_to_word(f).factors
+    assert got == tuple(ref)
+    assert all(type(a) is Fraction for g in got if isinstance(g, Elementary)
+               for a in g.g.terms.values())
+    if case == "zero pivot":
+        # a zero leading minor of order k + 1 or less forces a swap
+        assert swaps
+    if case == "identity":
+        assert not any(isinstance(g, Diagonal) for g in got)
+
+
+def _reference_affine_matrix(n, factors):
+    # the column operations first written, on Fraction entries
+    cols = [[int(r == l) for r in range(n)] for l in range(n + 1)]
+    for f in factors:
+        if isinstance(f, Diagonal):
+            cols[:n] = [col if c == 1 else [c * v for v in col]
+                        for c, col in zip(f.c, cols)]
+            continue
+        src = cols[f.i - 1]
+        for mono, a in f.g.terms.items():
+            if sum(mono) > 1:
+                return None
+            l = mono.index(1) if any(mono) else n
+            cols[l] = [v + a * s if s else v for v, s in zip(cols[l], src)]
+    return cols
+
+
+@st.composite
+def affine_factor_lists(draw):
+    """(n, factors, has_square): fractional diagonals, constant and linear
+    one-term addends, and now and then a degree-2 addend."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    factors, has_square = [], False
+    for _ in range(draw(st.integers(min_value=0, max_value=14))):
+        kind = draw(st.sampled_from(("diagonal", "constant", "linear", "linear", "square")))
+        if kind == "diagonal":
+            factors.append(Diagonal(tuple(draw(scalars) for _ in range(n))))
+            continue
+        i, a = draw(st.integers(min_value=1, max_value=n)), draw(scalars)
+        if kind == "constant" or n == 1:
+            factors.append(Elementary(i, Poly.constant(n, a)))
+            continue
+        x = Poly.variable(n, draw(st.sampled_from([j for j in range(1, n + 1) if j != i])))
+        factors.append(Elementary(i, a * x * x if kind == "square" else a * x))
+        has_square |= kind == "square"
+    return n, factors, has_square
+
+
+@given(affine_factor_lists())
+@settings(deadline=None, max_examples=200)
+def test_integer_affine_matrix_matches_fraction_reference(case):
+    n, factors, has_square = case
+    got = tame._affine_matrix(n, factors)
+    assert got == _reference_affine_matrix(n, factors)
+    assert (got is None) == has_square
+
+
 # ----------------------------------------------------------------------
 # pushing diagonals
 
@@ -267,8 +383,9 @@ def test_push_composes_no_maps(monkeypatch):
 
 
 def test_normal_form_never_reaches_the_product_kernel(monkeypatch):
-    # every push checks its slot with one substitution of the one-term
-    # arguments c_l * x_l, which maps terms to terms without the kernel
+    # every elementary push checks its slot with one substitution of the
+    # one-term arguments c_l * x_l, which maps terms to terms without the
+    # kernel, and every affine block is checked as a matrix, with none
     def refuse(*args):
         raise AssertionError("the product kernel was called")
 
@@ -369,29 +486,38 @@ def test_normal_form_matches_right_to_left_reference(w):
     assert nf.to_word().to_json() == ref.to_word().to_json()
 
 
-def test_each_elementary_is_pushed_once(monkeypatch):
-    calls = []
-    push = tame.push_diagonal
+def test_each_factor_is_checked_once(monkeypatch):
+    # an elementary of the word is pushed (and checked) once, in order; an
+    # affine costs one matrix check and is never expanded by affine_to_word
+    pushed, checked = [], []
+    push, matrix = tame.push_diagonal, tame._affine_matrix
 
-    def counted(d, e):
-        calls.append(e)
+    def counted_push(d, e):
+        pushed.append(e)
         return push(d, e)
 
-    monkeypatch.setattr(tame, "push_diagonal", counted)
+    def counted_matrix(n, factors):
+        checked.append(n)
+        return matrix(n, factors)
+
+    def refuse(f):
+        raise AssertionError("normal_form called affine_to_word")
+
     rng = random.Random(29)
     factors = []
     for _ in range(4):
         factors += [random_elementary(rng, 3, 2), random_diagonal(rng, 3),
                     random_affine(rng, 3), random_diagonal(rng, 3)]
     w = TameWord(tuple(factors), 3)
-    expanded = [
-        g for f in w.factors
-        for g in (affine_to_word(f).factors if isinstance(f, Affine) else (f,))
-    ]
-    elementaries = [f for f in expanded if isinstance(f, Elementary)]
+    expanded = sum(isinstance(g, Elementary) for f in w.factors if isinstance(f, Affine)
+                   for g in affine_to_word(f).factors)
+    monkeypatch.setattr(tame, "push_diagonal", counted_push)
+    monkeypatch.setattr(tame, "_affine_matrix", counted_matrix)
+    monkeypatch.setattr(tame, "affine_to_word", refuse)
     nf = normal_form(w)
-    assert calls == elementaries
-    assert len(nf.elementaries) == len(elementaries)
+    assert pushed == [f for f in w.factors if isinstance(f, Elementary)]
+    assert checked == [3] * sum(isinstance(f, Affine) for f in w.factors)
+    assert len(nf.elementaries) == len(pushed) + expanded
 
 
 def test_arguments_are_built_once_per_merged_diagonal(monkeypatch):
@@ -487,6 +613,51 @@ def test_wrong_transvection_makes_the_cli_exit_1(monkeypatch, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "affine expansion does not recompose" in captured.err
+
+
+# a wrong push of the one-term linear addends only: every transvection of
+# an affine expansion, none of the word's own elementaries
+_DOUBLE_LINEAR_ADDENDS = """
+from polyaut import tame
+
+real = tame._scaled_addend
+
+def scaled(g, c, i):
+    out = real(g, c, i)
+    return 2 * out if len(g.terms) == 1 and sum(next(iter(g.terms))) == 1 else out
+"""
+
+_RUN_NORMAL_FORM = """
+import sys
+from polyaut import cli
+
+tame._scaled_addend = scaled
+sys.exit(cli.main(["normal-form", "--file", sys.argv[1]]))
+"""
+
+BLOCK_WORD = TameWord((Diagonal((Q(2), Q(-1, 3))), E(2, "x1^2 - 1", 2), SWAP), 2)
+
+
+def test_block_check_catches_a_wrong_affine_push(monkeypatch):
+    normal_form(BLOCK_WORD)
+    wrong = {}
+    exec(_DOUBLE_LINEAR_ADDENDS, wrong)
+    monkeypatch.setattr(tame, "_scaled_addend", wrong["scaled"])
+    with pytest.raises(InconsistencyError, match=r"affine expansion does not recompose to \[A \| b\]"):
+        normal_form(BLOCK_WORD)
+
+
+@pytest.mark.parametrize("opt", [[], ["-O"]], ids=["plain", "optimized"])
+def test_wrong_affine_push_makes_the_cli_exit_1(tmp_path, opt):
+    word = tmp_path / "word.json"
+    word.write_text(BLOCK_WORD.to_json())
+    out = subprocess.run(
+        [sys.executable, *opt, "-c", _DOUBLE_LINEAR_ADDENDS + _RUN_NORMAL_FORM, str(word)],
+        capture_output=True, text=True, env=_library_env(), timeout=60,
+    )
+    assert out.returncode == 1, out.stderr
+    assert out.stdout == ""
+    assert "affine expansion does not recompose" in out.stderr
 
 
 def test_affine_check_reads_the_factors():
