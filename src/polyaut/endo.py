@@ -13,8 +13,8 @@ from math import lcm, prod
 from typing import Sequence
 
 from .poly import (
-    Poly, Rational, Record, _convolve, _divide_packed, _pack, _shifts, _substitute, _unpack,
-    is_int,
+    NEG_INF, InconsistencyError, Poly, Rational, Record, _convolve, _divide_packed, _pack,
+    _shifts, _substitute, _unpack, is_int,
 )
 
 
@@ -103,6 +103,98 @@ class Endo(Record):
 
     def jacobian_det(self) -> Poly:
         return self.jacobian_matrix().det()
+
+
+#: A prime above 2^61, the largest below 2^64 divided by the golden ratio.
+_BASE = 0x9E3779B97F4A7BB9
+
+
+class LeadingOrbit:
+    """The proved degrees of a map g's iterates, read from one point mod p.
+
+    Per iterate and coordinate it keeps the degree and the value of the
+    top form at x = (b, b^2, ..., b^n), b = _BASE mod p, which has no
+    coordinate 0 for a prime p below _BASE.  Coordinate i of g o h is
+    g_i(h_1, ..., h_n): the terms of g_i of maximal degree d under the
+    degrees of h, with each h_j replaced by its top form, sum to the part
+    of degree d, and their value at h's values is that part's value at x.
+    A nonzero value proves the part nonzero, so it is the top form and d
+    the exact degree: no degree rests on chance.  A zero value means a
+    true cancellation or a zero at x, and that iterate is composed in
+    full, in g's orbit, and read off.  So a Henon map composes no iterate.
+
+    advance() returns the next iterate's degree vector; leads holds the
+    degrees and values of iterates 0, 1, ... so far.  iterate(k) returns
+    g^k once the iterates composed up to k match their predicted degrees,
+    and raises InconsistencyError otherwise.
+
+    Precondition: p divides no coefficient and no denominator of g.  The
+    values need g's coefficients mod p, and a coefficient that vanishes
+    mod p zeroes the values it multiplies (3 does in (Y, X + 3*Y^2) mod
+    3), so every iterate would be composed.  The caller refuses such a p.
+    """
+
+    def __init__(self, g: Endo, p: int):
+        self.g, self.p = g, p
+        self.point = tuple(pow(_BASE, j, p) for j in range(1, g.n + 1))
+        self._terms = [_mod(c, p) for c in g.coords]  # g's coefficients mod p
+        self.leads = [((1,) * g.n, self.point)]  # per iterate, as lead gives it
+        self._checked = 1  # iterates 0.._checked-1 are composed and checked
+
+    def lead(self, h: Endo) -> tuple:
+        """The degrees of h's coordinates, and the values of their top forms
+        at the point, read off h itself."""
+        return tuple(zip(*(_top(_mod(c, self.p), (1,) * h.n, self.point, self.p)
+                           for c in h.coords)))
+
+    def predict(self, degrees: tuple, values: tuple):
+        """lead(g o h) from lead(h) = (degrees, values), or None when a
+        value is zero: a cancellation, or a zero at the point, which only
+        full composition can tell apart."""
+        tops = [_top(terms, degrees, values, self.p) for terms in self._terms]
+        return None if any(d != NEG_INF and not v for d, v in tops) else tuple(zip(*tops))
+
+    def advance(self) -> tuple:
+        """The next iterate's degree vector, predicted from the values of
+        the last one, or read off the iterate when a value is zero."""
+        m = len(self.leads)
+        lead = self.predict(*self.leads[-1])
+        if lead is None:
+            # the iterates before m are checked now, m later against this
+            self.iterate(m - 1)
+            lead = self.lead(self.g.orbit(m)[m])
+        self.leads.append(lead)
+        return lead[0]
+
+    def iterate(self, k: int) -> Endo:
+        """g^k from g's orbit, after checking each iterate up to k composed
+        since the last check against the degrees predicted for it."""
+        orbit = self.g.orbit(k)
+        for j in range(self._checked, k + 1):
+            if tuple(c.total_degree() for c in orbit[j].coords) != self.leads[j][0]:
+                raise InconsistencyError(f"iterate {j} does not have the degrees predicted for it")
+        self._checked = max(self._checked, k + 1)
+        return orbit[k]
+
+
+def _mod(c: Poly, p: int) -> list:
+    # the terms of c, with coefficients mod p
+    return [(mono, v.numerator * pow(v.denominator, -1, p) % p) for mono, v in c.terms.items()]
+
+
+def _top(terms: list, degrees: tuple, values: tuple, p: int) -> tuple:
+    """(d, v) for a polynomial in terms mod p, with x_j given the degree
+    degrees[j] and the value values[j]: d is the largest degree of a term,
+    and v the value of the terms of degree d, mod p.  A term with a factor
+    of degree NEG_INF (zero) is dropped."""
+    best, value = NEG_INF, 0
+    for mono, c in terms:
+        d = sum(a * dj for a, dj in zip(mono, degrees) if a)
+        if d > best:
+            best, value = d, 0
+        if d == best != NEG_INF:
+            value += c * prod(pow(v, a, p) for v, a in zip(values, mono))
+    return best, value % p
 
 
 class SquareMatrixPoly(Record):

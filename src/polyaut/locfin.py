@@ -15,23 +15,9 @@ one cannot take part in a first dependence (compare top homogeneous
 parts), so the elimination skips it, and a dependence can only appear
 when the degrees stop rising; then the skipped iterates are composed and
 fed to the elimination in order.  So the search needs an iterate's degree
-long before the iterate, and reads it off one point.
-
-For a prime p and a fixed point x of GF(p)^n with nonzero coordinates, it
-keeps per iterate and coordinate the degree and the value of the top form
-at x, mod p.  Coordinate i of G o H is G_i(H_1, ..., H_n): the terms of
-G_i of maximal degree d under the degrees of H, with each H_j replaced by
-its top form, sum to the part of degree d, and their value at H's values
-is that part's value at x.  A nonzero value proves the part nonzero, so it
-is the top form and d the exact degree: no degree rests on chance.  A zero
-value means a true cancellation or a zero at x, and that iterate is
-composed in full and read off.  Full iterates live only in the map's
-orbit, each checked against its predicted degrees when composed.  So a
-Henon map composes no iterate.  The values need G's coefficients mod p:
-p must divide no denominator, and no coefficient either, since a
-coefficient that vanishes mod p zeroes the values it multiplies (3 does in
-(Y, X + 3*Y^2) mod 3) and the search would compose every iterate.  Such a
-prime gives way to the next.
+long before the iterate, and reads it from a LeadingOrbit (endo), which
+proves it from values at one point mod p; a prime that divides a
+coefficient or a denominator of the map gives way to the next.
 
 Every prime runs the same search, with the elimination over GF(p).  The
 rank mod p is at most the rank over Q, so the first dependence mod p comes
@@ -66,10 +52,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
-from math import isqrt, lcm, prod
+from math import isqrt, lcm
 from typing import Sequence
 
-from .endo import Endo, linear_combination, verify_inverse_pair
+from .endo import Endo, LeadingOrbit, linear_combination, verify_inverse_pair
 from .linalg import DependenceFinder, UnluckyPrime, rational_reconstruction
 from .poly import NEG_INF, InconsistencyError, Rational, Record, is_int
 
@@ -140,8 +126,8 @@ class LFReport(Record):
     non-local-finiteness, only budget exhaustion with the degree sequence
     as evidence.  minimal_polynomial is a UniPoly, or None when Unknown.
     iterate_degrees[m] = deg(G^{om}) for every iterate examined (NEG_INF
-    for a zero iterate); budget_used is (iterates computed, max degree
-    encountered).
+    for a zero iterate); budget_used is (iterates examined, most of them
+    predicted and not composed (endo.LeadingOrbit), max degree encountered).
     """
 
     __slots__ = ("verdict", "minimal_polynomial", "iterate_degrees", "budget_used")
@@ -165,81 +151,6 @@ class LFReport(Record):
         }
 
 
-# ----------------------------------------------------------------------
-# lazy iterate bookkeeping: per iterate, each coordinate's degree and the
-# value of its top form at one point mod p; full iterates in g's orbit
-
-#: A prime above 2^61, the largest below 2^64 divided by the golden ratio.
-_BASE = 0x9E3779B97F4A7BB9
-
-
-def _point(n: int, p: int) -> tuple:
-    """The point (b, b^2, ..., b^n), b = _BASE mod p, where top forms are
-    evaluated; no coordinate is 0, as every search prime is below _BASE."""
-    return tuple(pow(_BASE, j, p) for j in range(1, n + 1))
-
-
-def _mod(c, p: int) -> list:
-    # the terms of the polynomial c, with coefficients mod p
-    return [(mono, v.numerator * pow(v.denominator, -1, p) % p) for mono, v in c.terms.items()]
-
-
-def _reduce(g: Endo, p: int) -> list:
-    """g's coordinates as _mod gives them; raises UnluckyPrime when p
-    divides a coefficient or a denominator."""
-    if any(v.numerator % p == 0 or v.denominator % p == 0
-           for c in g.coords for v in c.terms.values()):
-        raise UnluckyPrime(f"{p} divides a coefficient or a denominator of the map")
-    return [_mod(c, p) for c in g.coords]
-
-
-def _top(terms: list, degrees: tuple, values: tuple, p: int) -> tuple:
-    """(d, v) for a polynomial in terms mod p, with x_j given the degree
-    degrees[j] and the value values[j]: d is the largest degree of a term,
-    and v the value of the terms of degree d, mod p.  A term with a factor
-    of degree NEG_INF (zero) is dropped."""
-    best, value = NEG_INF, 0
-    for mono, c in terms:
-        d = sum(a * dj for a, dj in zip(mono, degrees) if a)
-        if d > best:
-            best, value = d, 0
-        if d == best != NEG_INF:
-            value += c * prod(pow(v, a, p) for v, a in zip(values, mono))
-    return best, value % p
-
-
-def _leading(h: Endo, x: tuple, p: int) -> tuple:
-    """The degrees of h's coordinates, and the values of their top forms at
-    x mod p, read off h itself."""
-    ones = (1,) * h.n
-    return tuple(zip(*(_top(_mod(c, p), ones, x, p) for c in h.coords)))
-
-
-def _compose_leading(reduced: list, degrees: tuple, values: tuple, p: int):
-    """_leading of g o h from that of h, with g given by _reduce.
-
-    The terms of g_i of maximal degree under the degrees of h, with each
-    h_j replaced by its top form, sum to the part of g_i(h) of that degree,
-    so their value at h's values is the part's value at x, and a nonzero
-    value proves the part is the top form.  Returns None when a value is
-    zero: a cancellation, or a zero at x, which only full composition can
-    tell apart.
-    """
-    tops = [_top(terms, degrees, values, p) for terms in reduced]
-    if any(d != NEG_INF and not v for d, v in tops):
-        return None
-    return tuple(zip(*tops))
-
-
-def _materialize(g: Endo, leads: list, composed: int, k: int) -> int:
-    """Compose iterates composed..k in g's orbit, each checked against the
-    degrees predicted for it; returns the new count of composed iterates."""
-    for j in range(composed, k + 1):
-        if tuple(c.total_degree() for c in g.orbit(j)[j].coords) != leads[j][0]:
-            raise InconsistencyError(f"iterate {j} does not have the degrees predicted for it")
-    return max(composed, k + 1)
-
-
 def _flatten(g: Endo) -> dict:
     return {
         (i, mono): c
@@ -248,11 +159,11 @@ def _flatten(g: Endo) -> dict:
     }
 
 
-def _report(verdict: str, mu, leads: list, m: int) -> LFReport:
-    # the report after iterate m, with the degrees of iterates 0..m
-    degrees = tuple(max(lead[0]) for lead in leads)
+def _report(verdict: str, mu, orbit: LeadingOrbit) -> LFReport:
+    # the report after the last iterate the search examined
+    degrees = tuple(max(lead[0]) for lead in orbit.leads)
     top = max((d for d in degrees if d != NEG_INF), default=0)
-    return LFReport(verdict, mu, degrees, (m, top))
+    return LFReport(verdict, mu, degrees, (len(degrees) - 1, top))
 
 
 # ----------------------------------------------------------------------
@@ -313,11 +224,11 @@ def lf_certify(g: Endo, max_iter: int = 16, max_deg: int = 512) -> LFReport:
     kept = -1  # the iterate of the kept dependence
     for p in _primes():
         try:
-            leads, m, combo = _search(g, max_iter, max_deg, p)
+            orbit, m, combo = _search(g, max_iter, max_deg, p)
         except UnluckyPrime:
             continue  # the next prime searches again, on the same orbit
         if combo is None:
-            return _report("Unknown", None, leads, m)
+            return _report("Unknown", None, orbit)
         if m < kept:
             continue
         if m > kept:  # every prime kept so far was unlucky
@@ -337,7 +248,7 @@ def lf_certify(g: Endo, max_iter: int = 16, max_deg: int = 512) -> LFReport:
         if None not in coeffs:
             mu = UniPoly(coeffs)
             if verify_vanishing(g, mu):
-                return _report("CertifiedLF", mu, leads, m)
+                return _report("CertifiedLF", mu, orbit)
         if limit is None:
             limit = _limit(g, m)
         if modulus > limit:
@@ -346,29 +257,22 @@ def lf_certify(g: Endo, max_iter: int = 16, max_deg: int = 512) -> LFReport:
 
 def _search(g: Endo, max_iter: int, max_deg: int, p: int) -> tuple:
     """The lazy-degree search for the first dependence among g's iterates
-    mod p: (leads, m, combo), with leads as _leading gives them for
-    iterates 0..m and combo the dependence p found when the search added
-    iterate m, the one it examines, or None when the budget ran out at m.
-    Raises UnluckyPrime when p cannot decide."""
+    mod p: (orbit, m, combo), with orbit the LeadingOrbit advanced to
+    iterate m, the one the search examines last, and combo the dependence
+    p found when the search added iterate m, or None when the budget ran
+    out at m.  Raises UnluckyPrime when p cannot decide."""
     finder = DependenceFinder(p)
-    reduced = _reduce(g, p)
-    x = _point(g.n, p)
-    leads = [((1,) * g.n, x)]  # per iterate, as _leading gives it
+    if any(v.numerator % p == 0 or v.denominator % p == 0
+           for c in g.coords for v in c.terms.values()):
+        raise UnluckyPrime(f"{p} divides a coefficient or a denominator of the map")
+    orbit = LeadingOrbit(g, p)
     running_max = 1
-    composed = 1  # iterates 0..composed-1 are composed, in g's orbit
     added = 0  # iterates 0..added-1 sit in the finder
 
     for m in range(1, max_iter + 1):
-        lead = _compose_leading(reduced, *leads[m - 1], p)
-        if lead is None:
-            # top-degree cancellation, or a zero at x: compose in full
-            _materialize(g, leads, composed, m - 1)
-            lead = _leading(g.orbit(m)[m], x, p)
-            composed = m + 1
-        leads.append(lead)
-        d = max(lead[0])
+        d = max(orbit.advance())
         if d > max_deg:
-            return leads, m, None
+            return orbit, m, None
         if d > running_max:
             # strictly growing degree: provably independent of all earlier
             # iterates, elimination safely skipped
@@ -376,18 +280,16 @@ def _search(g: Endo, max_iter: int, max_deg: int, p: int) -> tuple:
             continue
 
         for k in range(added, m + 1):
-            composed = _materialize(g, leads, composed, k)
-            combo = finder.add(_flatten(g.orbit(k)[k]))
-            added += 1
-            if combo is None:
-                continue
-            if k < m:
+            combo = finder.add(_flatten(orbit.iterate(k)))
+            if combo is not None and k < m:
                 # impossible over Q: backfilled iterates had strictly
                 # maximal degree when they were skipped
                 raise UnluckyPrime(
                     f"dependence mod {p} during backfill at iterate {k} of {m}")
-            return leads, m, combo
-    return leads, max_iter, None
+        added = m + 1
+        if combo is not None:
+            return orbit, m, combo
+    return orbit, max_iter, None
 
 
 def _limit(g: Endo, m: int) -> int:

@@ -177,9 +177,9 @@ def _json_rational(v) -> Fraction:
     raise ValueError(f"expected an integer or a rational string, got {_brief(v)}")
 
 
-def _json_rationals(v) -> tuple:
+def _json_rationals(v, field: str) -> tuple:
     if not isinstance(v, list):
-        raise ValueError(f"expected a list of rationals, got {_brief(v)}")
+        raise ValueError(f"{field} must be a list of rationals, got {_brief(v)}")
     return tuple(_json_rational(x) for x in v)
 
 
@@ -191,13 +191,17 @@ def _gen_from_json(doc, n: int) -> Generator:
         if kind == "elementary":
             if not is_int(doc["i"]):
                 raise ValueError(f"'i' must be an integer, got {_brief(doc['i'])}")
+            if not isinstance(doc["g"], str):
+                raise ValueError(f"'g' must be a string, got {_brief(doc['g'])}")
             return Elementary(doc["i"], parse_poly(doc["g"], n))
         if kind == "diagonal":
-            return Diagonal(_json_rationals(doc["c"]))
+            return Diagonal(_json_rationals(doc["c"], "'c'"))
         if kind == "affine":
+            if not isinstance(doc["A"], list):
+                raise ValueError(f"'A' must be a list of rows, got {_brief(doc['A'])}")
             return Affine(
-                tuple(_json_rationals(row) for row in doc["A"]),
-                _json_rationals(doc["b"]),
+                tuple(_json_rationals(row, "a row of 'A'") for row in doc["A"]),
+                _json_rationals(doc["b"], "'b'"),
             )
     except KeyError as exc:
         raise ValueError(f"generator document missing field {exc}") from exc

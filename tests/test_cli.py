@@ -367,6 +367,18 @@ def test_inexact_word_scalars_give_exit_3(capsys, tmp_path, factor):
     assert code == 3
 
 
+@pytest.mark.parametrize("factor, message", [
+    ({"kind": "elementary", "i": 2, "g": 5}, "'g' must be a string, got 5"),
+    ({"kind": "elementary", "i": 2, "g": ["x1"]}, "'g' must be a string, got ['x1']"),
+    ({"kind": "affine", "A": None, "b": ["0", "0"]}, "'A' must be a list of rows, got None"),
+])
+def test_word_field_of_the_wrong_type_gives_exit_3(capsys, tmp_path, factor, message):
+    word = tmp_path / "word.json"
+    word.write_text(json.dumps({"n": 2, "factors": [factor]}))
+    code, out, err = run(capsys, "normal-form", "--file", str(word))
+    assert (code, out, err) == (3, "", f"polyaut: error: {message}\n")
+
+
 def test_non_elementary_witness_input_gives_exit_3(capsys):
     code, _, err = run(capsys, "witness-obs2", "--n", "2", "--map", "x2, x1")
     assert code == 3

@@ -65,6 +65,24 @@ def test_linalg_imports_no_other_polyaut_module():
     assert out == ["polyaut", "polyaut.linalg"]
 
 
+def test_leading_orbit_proves_degrees_in_the_base_layer():
+    # the degree predictor needs neither the certificate search nor the
+    # elimination, and on a Henon map it composes nothing: deg g^m = 2^m
+    out = fresh(
+        "import sys\n"
+        "from polyaut.endo import Endo, LeadingOrbit\n"
+        "from polyaut.textio import parse_map\n"
+        "def refuse(self, other):\n"
+        "    raise AssertionError('composed')\n"
+        "Endo.compose = refuse\n"
+        "orbit = LeadingOrbit(parse_map('Y, X + Y^2', 2), 2**61 - 1)\n"
+        "print(*(max(orbit.advance()) for _ in range(30)))\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('polyaut')))"
+    ).stdout.split("\n")
+    assert out[0].split() == [str(2**m) for m in range(1, 31)]
+    assert not {"polyaut.locfin", "polyaut.linalg"} & set(out[1].split())
+
+
 WORD = {"n": 2, "factors": [{"kind": "diagonal", "c": ["2", "1"]},
                             {"kind": "elementary", "i": 2, "g": "x1^2"}]}
 SHEAR = ["--n", "2", "--map", "X+Y^2, Y"]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import samplers
 from fraction_finder import FractionDependenceFinder
 from polyaut import endo, locfin, poly
-from polyaut.endo import Endo, verify_inverse_pair
+from polyaut.endo import Endo, LeadingOrbit, verify_inverse_pair
 from polyaut.linalg import mat_inverse
 from polyaut.locfin import (
     InconsistencyError,
@@ -705,9 +705,9 @@ def test_prediction_runs_only_off_a_plateau(monkeypatch):
     # nothing: each of iterates 1..3 is predicted once from the values of
     # the one before, and no prediction falls back to full composition
     calls = []
-    real = locfin._compose_leading
+    real = LeadingOrbit.predict
     monkeypatch.setattr(
-        locfin, "_compose_leading", lambda *a: calls.append(real(*a)) or calls[-1]
+        LeadingOrbit, "predict", lambda *a: calls.append(real(*a)) or calls[-1]
     )
     g = parse_map("2*x1 + 7*x2^2, 3*x2", 2)
     reports = []
@@ -769,7 +769,7 @@ def test_certificates_hold_under_python_optimize():
 
 def _top_values(h, x, p):
     """The top form of each coordinate of h evaluated at x, mod p: the
-    reference for locfin._leading, in Fraction arithmetic."""
+    reference for LeadingOrbit.lead, in Fraction arithmetic."""
     point = [Poly.constant(h.n, v) for v in x]
     values = [c.top_form().substitute(point).constant_term() for c in h.coords]
     return tuple(v.numerator * pow(v.denominator, -1, p) % p for v in values)
@@ -788,8 +788,9 @@ def test_compose_leading_matches_full_composition(n, seed, p):
     # form, which mod 7 happens often); full composition is the reference
     rng = random.Random(seed)
     g, h = (Endo([samplers.random_poly(rng, n, 3, 3) for _ in range(n)]) for _ in "gh")
-    x = locfin._point(n, p)
-    degrees, values = locfin._leading(h, x, p)
+    orbit = LeadingOrbit(g, p)
+    x = orbit.point
+    degrees, values = orbit.lead(h)
     assert values == _top_values(h, x, p)
     truth = (tuple(c.total_degree() for c in g.compose(h).coords),
              _top_values(g.compose(h), x, p))
@@ -798,7 +799,7 @@ def test_compose_leading_matches_full_composition(n, seed, p):
             default=NEG_INF)
         for c in g.coords
     ]
-    lead = locfin._compose_leading(locfin._reduce(g, p), degrees, values, p)
+    lead = orbit.predict(degrees, values)
     assert (lead is None) == any(
         d != NEG_INF and (t < d or v == 0) for t, v, d in zip(*truth, predicted)
     )
@@ -809,27 +810,27 @@ def test_compose_leading_matches_full_composition(n, seed, p):
 def test_compose_leading_reports_cancelling_tops():
     g = parse_map("x1 - x2, x2", 2)
     h = parse_map("x1 + x2^2, x2^2 + 1", 2)
-    lead = locfin._leading(h, locfin._point(2, P0), P0)
-    assert locfin._compose_leading(locfin._reduce(g, P0), *lead, P0) is None
+    orbit = LeadingOrbit(g, P0)
+    assert orbit.predict(*orbit.lead(h)) is None
 
 
 def test_point_has_nonzero_coordinates():
     # _BASE is a prime above every search prime, so none of them divides it
-    assert locfin._is_prime(locfin._BASE) and locfin._BASE > 2**61
+    assert locfin._is_prime(endo._BASE) and endo._BASE > 2**61
     for p in (3, 5, 7, P0, P1):
-        assert all(locfin._point(4, p))
+        assert all(LeadingOrbit(Endo.identity(4), p).point)
 
 
 def test_degree_certificate_mismatch_raises(monkeypatch):
     # predictions of the wrong degree must not pass silently: here every
     # iterate of the shear is claimed to stay linear
-    real = locfin._compose_leading
+    real = LeadingOrbit.predict
 
-    def stays_linear(reduced, degrees, values, p):
-        lead = real(reduced, degrees, values, p)
+    def stays_linear(self, degrees, values):
+        lead = real(self, degrees, values)
         return None if lead is None else ((1,) * len(degrees), lead[1])
 
-    monkeypatch.setattr(locfin, "_compose_leading", stays_linear)
+    monkeypatch.setattr(LeadingOrbit, "predict", stays_linear)
     with pytest.raises(InconsistencyError, match="^iterate 1 does not have the degrees"):
         lf_certify(shear())
 

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -777,6 +778,25 @@ def test_word_json_validation():
         )
     with pytest.raises(ValueError):
         TameWord.from_json("[]")
+
+
+# a field of the wrong type is named, not reported in Python's words
+WRONG_FIELD_TYPES = [
+    ({"kind": "elementary", "i": 2, "g": 5}, "'g' must be a string, got 5"),
+    ({"kind": "elementary", "i": 2, "g": ["x1"]}, "'g' must be a string, got ['x1']"),
+    ({"kind": "affine", "A": None, "b": ["0", "0"]}, "'A' must be a list of rows, got None"),
+    ({"kind": "affine", "A": [["1", "0"], 5], "b": ["0", "0"]},
+     "a row of 'A' must be a list of rationals, got 5"),
+    ({"kind": "affine", "A": [["1", "0"], ["0", "1"]], "b": None},
+     "'b' must be a list of rationals, got None"),
+    ({"kind": "diagonal", "c": "12"}, "'c' must be a list of rationals, got '12'"),
+]
+
+
+@pytest.mark.parametrize("factor, message", WRONG_FIELD_TYPES)
+def test_word_json_names_a_field_of_the_wrong_type(factor, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TameWord.from_json(json.dumps({"n": 2, "factors": [factor]}))
 
 
 @pytest.mark.parametrize(
