@@ -32,6 +32,12 @@ from .poly import InconsistencyError, Poly, Record, _brief, check_dimension, is_
 from .textio import _read_rational, parse_poly, render_poly
 
 
+def _fraction(v) -> Fraction:
+    """v as a Fraction: v itself when its type is Fraction, since building
+    a Fraction from one goes through the numbers ABCs again."""
+    return v if type(v) is Fraction else Fraction(v)
+
+
 class Diagonal(Record):
     """(c_1 X_1, ..., c_n X_n) with every c_i nonzero; c is a tuple of
     Fractions."""
@@ -40,7 +46,7 @@ class Diagonal(Record):
     _fields = ("c",)
 
     def __post_init__(self):
-        c = tuple(Fraction(v) for v in self.c)
+        c = tuple(map(_fraction, self.c))
         if not c:
             raise ValueError("diagonal needs at least one entry")
         if any(v == 0 for v in c):
@@ -91,8 +97,8 @@ class Affine(Record):
     __slots__ = ("A", "b")
 
     def __post_init__(self):
-        A = tuple(tuple(Fraction(v) for v in row) for row in self.A)
-        b = tuple(Fraction(v) for v in self.b)
+        A = tuple(tuple(map(_fraction, row)) for row in self.A)
+        b = tuple(map(_fraction, self.b))
         n = len(A)
         if n == 0 or any(len(row) != n for row in A) or len(b) != n:
             raise ValueError("need a square matrix and a matching vector")

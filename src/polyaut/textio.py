@@ -14,6 +14,14 @@ only, as in every number this module reads.  Multiplication is
 always explicit: `2*x1*x2^3`, never `2x1` (which would make `x12` ambiguous).
 `^` binds tightest, then unary minus, then `*`, then binary +/-.
 
+The parser reads each expression in one pass over its tokens.  A term is
+one coefficient, kept as an integer numerator and denominator, and one
+list of n exponents: each number, p/q and variable, with its power and
+its unary minus signs, multiplies straight into these two.  Only a
+parenthesized factor is parsed into a Poly, raised with Poly.__pow__, and
+multiplied into its term.  Every term of an expression is added into one
+dict, and zero coefficients are dropped once, when the Poly is made.
+
 A map is a comma-separated list of n expressions.  Rendering emits terms in
 descending lexicographic order of exponent vectors, always with x1..xN
 names, so parse(render(p)) == p and equal polynomials render identically.
@@ -23,6 +31,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
+from operator import add
 
 from .endo import Endo
 from .poly import Poly, Record, _brief, check_dimension
@@ -38,23 +48,22 @@ class ParseError(ValueError):
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*^/(),]))"
+    r"(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*^/(),])|(?P<bad>\S)"
 )
 
 
-def _tokenize(text: str):
+def _tokenize(text: str) -> list:
+    """The tokens of text, each (kind, text, position), from one scan; an
+    operator's kind is the operator itself.  A character that starts no
+    token and is not whitespace is an error."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            at = pos + len(text[pos:]) - len(text[pos:].lstrip())
-            if at >= len(text):
-                break
-            raise ParseError(f"unexpected character {text[at]!r}", at)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind, val = m.lastgroup, m.group()
+        if kind == "op":
+            kind = val
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {val!r}", m.start())
+        tokens.append((kind, val, m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -65,18 +74,13 @@ class _Parser:
         self.n = n
         self.tokens = _tokenize(text)
         self.k = 0
+        self.names = {}  # each variable name met so far: its 0-based index
 
     def peek(self):
         return self.tokens[self.k]
 
-    def next(self):
-        tok = self.tokens[self.k]
-        self.k += 1
-        return tok
-
-    def accept(self, text: str) -> bool:
-        kind, val, _ = self.peek()
-        if kind == "op" and val == text:
+    def accept(self, kind: str) -> bool:
+        if self.tokens[self.k][0] == kind:
             self.k += 1
             return True
         return False
@@ -87,59 +91,99 @@ class _Parser:
     # ------------------------------------------------------------------
 
     def expr(self) -> Poly:
-        p = -self.term() if self.accept("-") else self.term()
+        acc = {}  # every term of the sum, added in place
+        sign = -1 if self.accept("-") else 1
         while True:
+            self.term(acc, sign)
             if self.accept("+"):
-                p = p + self.term()
+                sign = 1
             elif self.accept("-"):
-                p = p - self.term()
+                sign = -1
             else:
-                return p
+                break
+        return Poly._raw(self.n, {
+            m: c if type(c) is Fraction else Fraction(c) for m, c in acc.items() if c
+        })
 
-    def term(self) -> Poly:
-        p = self.unary()
-        while self.accept("*"):
-            p = p * self.unary()
-        return p
+    def term(self, acc: dict, num: int) -> None:
+        """Add one term, times num (1 or -1), into acc.  Its numbers and
+        variables, with their powers and signs, multiply into one
+        coefficient num/den and one exponent list; only a parenthesized
+        factor is a Poly."""
+        tokens = self.tokens
+        den = 1
+        exps = [0] * self.n
+        product = None  # of the parenthesized factors
+        while True:
+            if tokens[self.k][0] == "-":
+                num *= self.minus()
+            kind, val, pos = tokens[self.k]
+            self.k += 1
+            if kind == "int":
+                p, q = int(val), 1
+                if self.accept("/"):
+                    dkind, dval, dpos = tokens[self.k]
+                    self.k += 1
+                    if dkind != "int":
+                        raise ParseError("denominator must be an integer", dpos)
+                    q = int(dval)
+                    if q == 0:
+                        raise ParseError("zero denominator", dpos)
+                    # lowest terms before a power, so that (0/q)^e costs
+                    # what 0^e does, and (6/4)^e what (3/2)^e does
+                    g = gcd(p, q)
+                    p, q = p // g, q // g
+                e = self.exponent()
+                num, den = num * p**e, den * q**e
+            elif kind == "name":
+                i = self.names.get(val)
+                if i is None:
+                    i = self.names[val] = self.variable_index(val, pos) - 1
+                exps[i] += self.exponent()
+            elif kind == "(":
+                f = self.expr()
+                if not self.accept(")"):
+                    self.fail("expected ')'")
+                e = self.exponent()
+                if e != 1:
+                    f = f**e
+                product = f if product is None else product * f
+            else:
+                raise ParseError(
+                    "expected a number, variable, or '('" if kind != "end"
+                    else "unexpected end of input",
+                    pos,
+                )
+            if not self.accept("*"):
+                break
+        coeff = num if den == 1 else Fraction(num, den)
+        if product is None:
+            mono = tuple(exps)
+            c = acc.get(mono)
+            acc[mono] = coeff if c is None else c + coeff
+        else:
+            for m, c in product.terms.items():
+                mono = tuple(map(add, m, exps))
+                c *= coeff
+                s = acc.get(mono)
+                acc[mono] = c if s is None else s + c
 
-    def unary(self) -> Poly:
-        if self.accept("-"):
-            return -self.unary()
-        return self.power()
+    def minus(self) -> int:
+        """The sign of a chain of unary minus signs: one call per sign, as
+        the grammar's unary recurses, so a chain too long for the
+        interpreter stack is nested too deeply, like parentheses."""
+        self.k += 1
+        return -self.minus() if self.tokens[self.k][0] == "-" else -1
 
-    def power(self) -> Poly:
-        base = self.atom()
-        if self.accept("^"):
-            kind, val, pos = self.next()
-            if kind != "int":
-                raise ParseError("exponent must be a non-negative integer", pos)
-            return base ** int(val)
-        return base
-
-    def atom(self) -> Poly:
-        kind, val, pos = self.next()
-        if kind == "int":
-            num = int(val)
-            if self.accept("/"):
-                dkind, dval, dpos = self.next()
-                if dkind != "int":
-                    raise ParseError("denominator must be an integer", dpos)
-                if int(dval) == 0:
-                    raise ParseError("zero denominator", dpos)
-                return Poly.constant(self.n, Fraction(num, int(dval)))
-            return Poly.constant(self.n, num)
-        if kind == "name":
-            return Poly.variable(self.n, self.variable_index(val, pos))
-        if kind == "op" and val == "(":
-            p = self.expr()
-            if not self.accept(")"):
-                self.fail("expected ')'")
-            return p
-        raise ParseError(
-            "expected a number, variable, or '('" if kind != "end"
-            else "unexpected end of input",
-            pos,
-        )
+    def exponent(self) -> int:
+        """The exponent after "^" if there is one, else 1."""
+        if not self.accept("^"):
+            return 1
+        kind, val, pos = self.tokens[self.k]
+        self.k += 1
+        if kind != "int":
+            raise ParseError("exponent must be a non-negative integer", pos)
+        return int(val)
 
     def variable_index(self, name: str, pos: int) -> int:
         m = re.fullmatch(r"[xX]([0-9]+)", name)
@@ -168,7 +212,8 @@ def _parse(text: str, n: int, coordinates: bool) -> list:
     comma-separated.  Too few commas are found before any polynomial, with
     its n-entry exponent tuples, is built."""
     p = _Parser(text, n)
-    got = 1 + sum(tok[:2] == ("op", ",") for tok in p.tokens) if coordinates else n
+    # every comma in text is a token, since text tokenized
+    got = 1 + text.count(",") if coordinates else n
     if got < n:
         raise ParseError(f"expected {n} comma-separated coordinates, got {got}", len(text))
     try:

@@ -836,3 +836,35 @@ def test_bools_are_not_indices_or_dimensions():
 def test_word_json_accepts_integers_and_rational_strings():
     doc = {"n": 2, "factors": [{"kind": "diagonal", "c": [2, "-1/3"]}]}
     assert TameWord.from_json(json.dumps(doc)).factors == (Diagonal((Q(2), Q(-1, 3))),)
+
+
+# ----------------------------------------------------------------------
+# entries that are Fractions already are kept, not built again
+
+def test_fraction_entries_are_kept():
+    c = (Q(2), Q(-1, 3), Q(5, 7))
+    d = Diagonal(c)
+    assert all(d.c[k] is c[k] for k in range(3))
+    A, b = ((Q(1), Q(2)), (Q(0), Q(1, 2))), (Q(3), Q(-1, 4))
+    f = Affine(A, b)
+    assert all(f.A[r][k] is A[r][k] for r in range(2) for k in range(2))
+    assert all(f.b[k] is b[k] for k in range(2))
+
+
+def test_other_entries_are_converted_as_before():
+    d = Diagonal((2, "-1/3", Q(4)))
+    assert d.c == (Q(2), Q(-1, 3), Q(4))
+    assert all(type(v) is Fraction for v in d.c)
+    f = Affine(((1, "2"), (0, "1/2")), ("3", -1))
+    assert f.A == ((Q(1), Q(2)), (Q(0), Q(1, 2))) and f.b == (Q(3), Q(-1))
+    assert all(type(v) is Fraction for row in f.A for v in row)
+    for bad in ["x", None, "1/0", [1]]:
+        with pytest.raises(Exception) as expected:
+            Fraction(bad)
+        for make in (lambda: Diagonal((Q(1), bad)),
+                     lambda: Affine(((Q(1), bad), (Q(0), Q(1))), (Q(0), Q(0))),
+                     lambda: Affine(((Q(1), Q(0)), (Q(0), Q(1))), (Q(0), bad))):
+            with pytest.raises(expected.type, match=re.escape(str(expected.value))):
+                make()
+    with pytest.raises(ValueError, match="diagonal entries must be nonzero"):
+        Diagonal((Q(1), "0"))
