@@ -23,7 +23,7 @@ import argparse
 import sys
 
 from .endo import Endo
-from .poly import InconsistencyError, Poly, VerificationError
+from .poly import InconsistencyError, Poly, VerificationError, _brief
 from .textio import MapDocument, ParseError, _read_rational, parse_map, render_poly
 
 
@@ -117,7 +117,16 @@ def _cmd_compose(args):
     return _map_result(result)
 
 
+#: The largest count `iterate --times` accepts.  The orbit keeps every
+#: iterate, so even x1 + 1, x2 takes about 8 s and 117 MB at 10^5 and a
+#: count such as 10^20 never ends; a larger count is refused with exit 3
+#: before the map is read.
+MAX_ITERATE_TIMES = 10**4
+
+
 def _cmd_iterate(args):
+    if args.times > MAX_ITERATE_TIMES:
+        raise ValueError(f"--times {_brief(args.times)} is above the cap {MAX_ITERATE_TIMES}")
     return _map_result(_load_single_map(args).iterate(args.times))
 
 

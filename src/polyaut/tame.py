@@ -12,12 +12,12 @@ three cases.  A diagonal is merged into D exactly.  An elementary is pushed
 through D once, using the exact rewriting D o E = E~ o D: E~ adds
 g~ = c_i * g(X_1/c_1, ..., X_n/c_n) to slot i, and the push is checked
 exactly in slot i, the only coordinate where the two sides can differ.  An
-affine factor is expanded into transvections and diagonals by Gauss-Jordan
-elimination in integers, its transvections are pushed and its diagonals
-merged, and the whole block is checked by one matrix identity: it must
-recompose to D o [A | b].  A failed check raises InconsistencyError, so it
-holds under python -O too.  These checks certify the whole normal form,
-and the word is never composed as a map to check it.
+affine factor is expanded by Gauss-Jordan elimination in integers into
+matrix steps, each pushed through D as one scalar and built into its
+elementary once, and diagonals, which are merged; one matrix identity
+checks the block: it must recompose to D o [A | b].  A failed check raises
+InconsistencyError, so it holds under python -O too.  These checks certify
+the whole normal form, and the word is never composed as a map to check it.
 """
 
 from __future__ import annotations
@@ -250,10 +250,7 @@ def generator_determinant(f: Generator) -> Fraction:
     if isinstance(f, Elementary):
         return Fraction(1)
     if isinstance(f, Diagonal):
-        prod = Fraction(1)
-        for v in f.c:
-            prod *= v
-        return prod
+        return prod(f.c)
     return mat_det(f.A)
 
 
@@ -283,9 +280,9 @@ def _unit_exponent(n: int, l: int) -> tuple:
     return (0,) * l + (1,) + (0,) * (n - l - 1)
 
 
-def _transvection(n: int, i: int, j: int, c: Fraction) -> Elementary:
-    # the elementary matrix A_{i,j,c}: X_i += c*X_j, for a nonzero Fraction c
-    return Elementary(i, Poly._raw(n, {_unit_exponent(n, j - 1): c}))
+def _transvection(n: int, i: int, l: int, a: Fraction) -> Elementary:
+    # the step (i, l, a): X_{i+1} += a * X_{l+1}, or += a if l = n; a != 0
+    return Elementary(i + 1, Poly._raw(n, {(0,) * n if l == n else _unit_exponent(n, l): a}))
 
 
 def affine_to_word(f: Affine) -> TameWord:
@@ -296,27 +293,26 @@ def affine_to_word(f: Affine) -> TameWord:
     inverse of each row operation as a transvection, a zero pivot fixed by
     a row swap expanded as T_{i,j} = A_{i,j,1} o A_{j,i,-1} o A_{i,j,1} o D~
     with D~ = -1 in slot i; whatever diagonal remains is the last factor
-    (_expand_affine).  The factors are then recomposed exactly as a matrix
-    (_affine_matrix), and InconsistencyError is raised unless they give
-    [A | b].
+    (_expand_affine).  Each step becomes its elementary once, and
+    _check_block raises InconsistencyError unless they recompose to [A | b].
     """
-    factors = _expand_affine(f)
-    if _affine_matrix(f.n, factors) != [list(col) for col in zip(*f.A)] + [list(f.b)]:
-        raise InconsistencyError("affine expansion does not recompose to [A | b]")
+    factors = [s if isinstance(s, Diagonal) else _transvection(f.n, *s) for s in _expand_affine(f)]
+    _check_block(f, factors, (1,) * f.n)
     return TameWord(tuple(factors), f.n)
 
 
 def _expand_affine(f: Affine) -> list:
-    """The factors of affine_to_word, unchecked.
+    """The factors of affine_to_word, unchecked, as steps (i, l, a) (see
+    _transvection) and Diagonals; no Poly or Elementary is built.
 
     Row i of A is held as ints r_i over a denominator d_i.  Clearing entry
-    k of row i with pivot row k (pivot p_k = r_k[k]) is the transvection
-    with coefficient r_i[k] * d_k / (p_k * d_i), one Fraction, and leaves
-    the row p_k * r_i - r_i[k] * r_k over d_i * p_k, both divided by the
-    gcd of its entries and its denominator.
+    k of row i with pivot row k (pivot p_k = r_k[k]) is the step with
+    scalar r_i[k] * d_k / (p_k * d_i), one Fraction, and leaves the row
+    p_k * r_i - r_i[k] * r_k over d_i * p_k, both divided by the gcd of
+    its entries and its denominator.
     """
     n = f.n
-    factors = [Elementary(i + 1, Poly.constant(n, v)) for i, v in enumerate(f.b) if v]
+    steps = [(i, n, v) for i, v in enumerate(f.b) if v]
     rows = []
     for row in f.A:
         d = lcm(*(v.denominator for v in row))
@@ -325,43 +321,34 @@ def _expand_affine(f: Affine) -> list:
         r = next(r for r in range(k, n) if rows[r][0][k])
         if r != k:
             rows[k], rows[r] = rows[r], rows[k]
-            factors.extend(
-                [
-                    _transvection(n, k + 1, r + 1, Fraction(1)),
-                    _transvection(n, r + 1, k + 1, Fraction(-1)),
-                    _transvection(n, k + 1, r + 1, Fraction(1)),
-                    Diagonal(
-                        tuple(Fraction(-1 if l == k else 1) for l in range(n))
-                    ),
-                ]
-            )
+            steps += [(k, r, Fraction(1)), (r, k, Fraction(-1)), (k, r, Fraction(1)),
+                      Diagonal(tuple(Fraction(-1 if l == k else 1) for l in range(n)))]
         top, dk = rows[k]
         pk = top[k]
         for i in range(n):
             row, di = rows[i]
             a = row[k]
             if i != k and a:
-                factors.append(_transvection(n, i + 1, k + 1, Fraction(a * dk, pk * di)))
+                steps.append((i, k, Fraction(a * dk, pk * di)))
                 row = [pk * x - a * y if y else pk * x for x, y in zip(row, top)]
                 g = gcd(di * pk, *row)
                 rows[i] = ([x // g for x in row], di * pk // g)
     diag = tuple(Fraction(row[k], d) for k, (row, d) in enumerate(rows))
     if any(v != 1 for v in diag):
-        factors.append(Diagonal(diag))
-    return factors
+        steps.append(Diagonal(diag))
+    return steps
 
 
 def _affine_matrix(n: int, factors) -> list:
     """The n + 1 columns of [A | b] for the map X -> AX + b that the factors
-    compose to, as Fractions, or None if one has a term of degree two or
-    more.
+    compose to, each as a list of ints over one positive denominator, or
+    None if a factor has a term of degree two or more.
 
     In homogeneous coordinates, composing with a factor on the right is a
     column operation on [A | b], which starts as the identity: a diagonal
     scales column l by c_l, and adding a*X_l (or the constant a) to slot i
     adds a times column i to column l (or to the last column).  Column i
-    never moves, since g does not involve X_i.  Each column is held as ints
-    over one denominator, and becomes Fractions only at the end.
+    never moves, since g does not involve X_i.
     """
     cols = [([int(r == l) for r in range(n)], 1) for l in range(n + 1)]
     for f in factors:
@@ -380,7 +367,18 @@ def _affine_matrix(n: int, factors) -> list:
             den = lcm(d, q)
             s, t = den // d, a.numerator * (den // q)
             cols[l] = ([v * s + t * w for v, w in zip(col, src)], den)
-    return [[Fraction(v, d) for v in col] for col, d in cols]
+    return cols
+
+
+def _check_block(f: Affine, factors, c: tuple) -> None:
+    """Raise InconsistencyError unless the factors, read back as a matrix
+    (_affine_matrix), recompose to diag(c) o f, whose column l is
+    (c_r * A[r][l])_r and last column (c_r * b_r)_r; compared in integers."""
+    cols = _affine_matrix(f.n, factors)
+    if cols is None or any(v * s.denominator * e.denominator != d * s.numerator * e.numerator
+                           for (col, d), want in zip(cols, [*zip(*f.A), f.b])
+                           for v, e, s in zip(col, want, c)):
+        raise InconsistencyError("affine expansion does not recompose to [A | b]")
 
 
 # ----------------------------------------------------------------------
@@ -455,29 +453,28 @@ class NormalForm(Record):
         return TameWord(self.elementaries + (self.diagonal,), self.n)
 
 
-def _push_affine(d: Diagonal, f: Affine) -> tuple:
-    """Rewrite D o f as E~_1 o ... o E~_k o D', returned as
-    ([E~_1, ..., E~_k], D').
+def _push_step(c: tuple, i: int, l: int, a: Fraction) -> tuple:
+    # the step (i, l, a) pushed through diag(c): a * c_i / c_l, with c_n = 1
+    ci, cl = c[i], c[l] if l < len(c) else 1
+    return i, l, Fraction(a.numerator * ci.numerator * cl.denominator,
+                          a.denominator * ci.denominator * cl.numerator)
 
-    f is expanded (_expand_affine); each elementary of the expansion is
-    pushed through the diagonal merged so far with _scaled_addend alone,
-    and each of its diagonals is merged.  Every factor of the block is
-    affine, so one matrix identity checks it: the block recomposes
-    (_affine_matrix) to D o f, which for D = diag(c) has column l
-    (c_r * A[r][l])_r and last column (c_r * b_r)_r.  That proves D o f = E~_1 o ... o
-    E~_k o D' exactly, in place of a check per push and a check of the
-    expansion; InconsistencyError is raised if it fails.
+
+def _push_affine(d: Diagonal, f: Affine) -> tuple:
+    """Rewrite D o f as E~_1 o ... o E~_k o D', returned as ([E~_j], D').
+
+    Each step of f's expansion is pushed through the diagonal merged so far
+    as one scalar (_push_step) and built into its elementary once, and each
+    diagonal is merged; one matrix identity checks the block (_check_block).
     """
-    c = d.c
+    n, c = f.n, d.c
     block = []
-    for g in _expand_affine(f):
-        if isinstance(g, Diagonal):
-            d = _merge_diagonals(d, g)
+    for s in _expand_affine(f):
+        if isinstance(s, Diagonal):
+            d = _merge_diagonals(d, s)
         else:
-            block.append(Elementary(g.i, _scaled_addend(g.g, d.c, g.i)))
-    expected = [[v * row[l] for v, row in zip(c, f.A)] for l in range(f.n)]
-    if _affine_matrix(f.n, block + [d]) != expected + [[v * b for v, b in zip(c, f.b)]]:
-        raise InconsistencyError("affine expansion does not recompose to [A | b]")
+            block.append(_transvection(n, *_push_step(d.c, *s)))
+    _check_block(f, block + [d], c)
     return block, d
 
 

@@ -5,6 +5,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from math import prod
 
@@ -12,7 +14,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polyaut.cli import main
+import polyaut
+from polyaut.cli import MAX_ITERATE_TIMES, main
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(polyaut.__file__)))
 
 
 def run(capsys, *argv):
@@ -58,6 +63,10 @@ def test_iterate(capsys):
     )
     assert code == 0
     assert out == "x1 + 3*x2^2, x2\n"
+    # the cap on the count is inclusive
+    code, out, _ = run(capsys, "iterate", "--n", "2", "--map", "X, Y",
+                       "--times", str(MAX_ITERATE_TIMES))
+    assert (code, out) == (0, "x1, x2\n")
 
 
 def test_iterate_json(capsys):
@@ -409,9 +418,24 @@ def test_no_subcommand_gives_exit_3(capsys):
 
 
 def test_negative_times_gives_exit_3(capsys):
-    code, _, _ = run(capsys, "iterate", "--n", "2", "--map", "X, Y",
-                     "--times", "-1")
-    assert code == 3
+    for times in ("-1", str(MAX_ITERATE_TIMES + 1)):
+        code, out, err = run(capsys, "iterate", "--n", "2", "--map", "X, Y",
+                             "--times", times)
+        assert code == 3
+        assert out == "" and len(err.splitlines()) == 1
+
+
+def test_huge_times_is_refused_at_once():
+    # the orbit keeps every iterate, so without the cap this never ends
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyaut.cli", "iterate", "--n", "2", "--map", "x1 + 1, x2",
+         "--times", "99999999999999999999"],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"polyaut: error: --times 99999999999999999999 is above the cap {MAX_ITERATE_TIMES}\n")
 
 
 # ----------------------------------------------------------------------

@@ -270,11 +270,21 @@ def affine_factor_lists(draw):
     return n, factors, has_square
 
 
+def _columns(n, factors):
+    # tame._affine_matrix's columns, each ints over a positive denominator,
+    # as Fractions
+    cols = tame._affine_matrix(n, factors)
+    if cols is None:
+        return None
+    assert all(type(d) is int and d > 0 for _, d in cols)
+    return [[Fraction(v, d) for v in col] for col, d in cols]
+
+
 @given(affine_factor_lists())
 @settings(deadline=None, max_examples=200)
 def test_integer_affine_matrix_matches_fraction_reference(case):
     n, factors, has_square = case
-    got = tame._affine_matrix(n, factors)
+    got = _columns(n, factors)
     assert got == _reference_affine_matrix(n, factors)
     assert (got is None) == has_square
 
@@ -476,8 +486,21 @@ def words_with_affines(draw):
     return TameWord(w.factors[:k] + (random_affine(rng, n),) + w.factors[k:], n)
 
 
-@given(words_with_affines())
-@settings(deadline=None, max_examples=40)
+@st.composite
+def words_around_forced_affines(draw):
+    """A forced_affines draw twice, after a diagonal that is not the
+    identity and around an elementary: a swap diagonal then merges mid-block
+    into a diagonal that is not the identity."""
+    _, f = draw(forced_affines())
+    n = f.n
+    d = Diagonal(tuple(draw(scalars) for _ in range(n)))
+    assume(any(v != 1 for v in d.c))
+    e = random_elementary(random.Random(draw(st.integers(min_value=0, max_value=2**32))), n, 3)
+    return TameWord((d, f, e, f), n)
+
+
+@given(st.one_of(words_with_affines(), words_around_forced_affines()))
+@settings(deadline=None, max_examples=80)
 def test_normal_form_matches_right_to_left_reference(w):
     nf, ref = normal_form(w), _reference_normal_form(w)
     assert nf.diagonal == ref.diagonal
@@ -521,6 +544,28 @@ def test_each_factor_is_checked_once(monkeypatch):
     assert len(nf.elementaries) == len(pushed) + expanded
 
 
+def test_each_elementary_is_built_once(monkeypatch):
+    # a word's own elementary is built once, by push_diagonal, and a step
+    # of an affine expansion once, after it is pushed, so normal_form
+    # constructs exactly the Elementary objects it returns
+    rng = random.Random(53)
+    words = [random_word(rng, n, 8) for n in (1, 2, 3, 4) for _ in range(6)]
+    words += [BLOCK_WORD, TameWord((random_diagonal(rng, 2), SWAP, E(1, "x2^2", 2), SWAP), 2)]
+    assert sum(isinstance(f, Affine) for w in words for f in w.factors) > 10
+    built = []
+    post = Elementary.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post(self)
+
+    monkeypatch.setattr(Elementary, "__post_init__", counted)
+    for w in words:
+        built.clear()
+        nf = normal_form(w)
+        assert len(built) == len(nf.elementaries)
+
+
 def test_arguments_are_built_once_per_merged_diagonal(monkeypatch):
     # every push substitutes the arguments c_l * x_l of the diagonal it
     # goes through; the word below has three merged diagonals (the
@@ -548,6 +593,40 @@ def test_arguments_are_built_once_per_merged_diagonal(monkeypatch):
 # ----------------------------------------------------------------------
 # a wrong push or a wrong transvection is caught, also under python -O
 
+# mutations of an affine block, each a function `wrong` to put in place of
+# the tame function it is keyed by; neither is called on the word's own
+# elementaries, which push_diagonal pushes and builds
+WRONG_BLOCK = {
+    # a wrong pushed scalar of every block transvection
+    "_push_step": """
+from polyaut import tame
+
+real_push = tame._push_step
+
+def wrong(c, i, l, a):
+    i, l, a = real_push(c, i, l, a)
+    return i, l, 2 * a if l < len(c) else a
+""",
+    # a wrong transvection: (a + 1) * X_{l+1} in place of a * X_{l+1}
+    "_transvection": """
+from polyaut import tame
+
+real_transvection = tame._transvection
+
+def wrong(n, i, l, a):
+    if l == n:
+        return real_transvection(n, i, l, a)
+    return tame.Elementary(i + 1, (a + 1) * tame.Poly.variable(n, l + 1))
+""",
+}
+
+
+def _wrong(name):
+    ns = {}
+    exec(WRONG_BLOCK[name], ns)
+    return ns["wrong"]
+
+
 _OPTIMIZED_SCRIPT = """
 import sys
 assert False, "asserts are not stripped"
@@ -555,10 +634,10 @@ from fractions import Fraction
 from polyaut import tame
 from polyaut.locfin import InconsistencyError
 from polyaut.textio import parse_poly
-
+""" + WRONG_BLOCK["_transvection"] + """
 real = tame._scaled_addend
 tame._scaled_addend = lambda g, c, i: real(g, c, i) + 1
-tame._transvection = lambda n, i, j, c: tame.Elementary(i, (c + 1) * tame.Poly.variable(n, j))
+tame._transvection = wrong
 d = tame.Diagonal((Fraction(2), Fraction(1)))
 e = tame.Elementary(2, parse_poly("x1^2", 2))
 swap = tame.Affine(((0, 1), (1, 0)), (1, 0))
@@ -603,11 +682,13 @@ def test_wrong_push_makes_the_cli_exit_1(monkeypatch, tmp_path, capsys):
 
 
 SWAP = Affine(((Q(0), Q(1)), (Q(1), Q(0))), (Q(1), Q(0)))
+RECOMPOSE = r"affine expansion does not recompose to \[A \| b\]"
 
 
 def test_wrong_transvection_makes_the_cli_exit_1(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(tame, "_transvection", lambda n, i, j, c: Elementary(
-        i, (c + 1) * Poly.variable(n, j)))
+    monkeypatch.setattr(tame, "_transvection", _wrong("_transvection"))
+    with pytest.raises(InconsistencyError, match=RECOMPOSE):
+        affine_to_word(SWAP)
     word = tmp_path / "word.json"
     word.write_text(TameWord((SWAP,), 2).to_json())
     assert cli.main(["normal-form", "--file", str(word)]) == 1
@@ -616,23 +697,11 @@ def test_wrong_transvection_makes_the_cli_exit_1(monkeypatch, tmp_path, capsys):
     assert "affine expansion does not recompose" in captured.err
 
 
-# a wrong push of the one-term linear addends only: every transvection of
-# an affine expansion, none of the word's own elementaries
-_DOUBLE_LINEAR_ADDENDS = """
-from polyaut import tame
-
-real = tame._scaled_addend
-
-def scaled(g, c, i):
-    out = real(g, c, i)
-    return 2 * out if len(g.terms) == 1 and sum(next(iter(g.terms))) == 1 else out
-"""
-
 _RUN_NORMAL_FORM = """
 import sys
 from polyaut import cli
 
-tame._scaled_addend = scaled
+setattr(tame, sys.argv[2], wrong)
 sys.exit(cli.main(["normal-form", "--file", sys.argv[1]]))
 """
 
@@ -640,25 +709,29 @@ BLOCK_WORD = TameWord((Diagonal((Q(2), Q(-1, 3))), E(2, "x1^2 - 1", 2), SWAP), 2
 
 
 def test_block_check_catches_a_wrong_affine_push(monkeypatch):
+    own = TameWord(BLOCK_WORD.factors[:2], 2)
+    right = normal_form(own)
     normal_form(BLOCK_WORD)
-    wrong = {}
-    exec(_DOUBLE_LINEAR_ADDENDS, wrong)
-    monkeypatch.setattr(tame, "_scaled_addend", wrong["scaled"])
-    with pytest.raises(InconsistencyError, match=r"affine expansion does not recompose to \[A \| b\]"):
-        normal_form(BLOCK_WORD)
+    for name in WRONG_BLOCK:
+        with monkeypatch.context() as mp:
+            mp.setattr(tame, name, _wrong(name))
+            assert normal_form(own) == right
+            with pytest.raises(InconsistencyError, match=RECOMPOSE):
+                normal_form(BLOCK_WORD)
 
 
 @pytest.mark.parametrize("opt", [[], ["-O"]], ids=["plain", "optimized"])
 def test_wrong_affine_push_makes_the_cli_exit_1(tmp_path, opt):
     word = tmp_path / "word.json"
     word.write_text(BLOCK_WORD.to_json())
-    out = subprocess.run(
-        [sys.executable, *opt, "-c", _DOUBLE_LINEAR_ADDENDS + _RUN_NORMAL_FORM, str(word)],
-        capture_output=True, text=True, env=_library_env(), timeout=60,
-    )
-    assert out.returncode == 1, out.stderr
-    assert out.stdout == ""
-    assert "affine expansion does not recompose" in out.stderr
+    for name, script in WRONG_BLOCK.items():
+        out = subprocess.run(
+            [sys.executable, *opt, "-c", script + _RUN_NORMAL_FORM, str(word), name],
+            capture_output=True, text=True, env=_library_env(), timeout=60,
+        )
+        assert out.returncode == 1, (name, out.stderr)
+        assert out.stdout == ""
+        assert "affine expansion does not recompose" in out.stderr
 
 
 def test_affine_check_reads_the_factors():
@@ -666,10 +739,10 @@ def test_affine_check_reads_the_factors():
     n = 2
     word = affine_to_word(SWAP).factors
     # the columns of [A | b] for X -> (x2 + 1, x1)
-    assert tame._affine_matrix(n, word) == [[0, 1], [1, 0], [1, 0]]
+    assert _columns(n, word) == [[0, 1], [1, 0], [1, 0]]
     shear = Elementary(1, parse_poly("x2^2", n))
-    assert tame._affine_matrix(n, word + (shear,)) is None
-    assert tame._affine_matrix(n, word + (Diagonal((Q(1), Q(2))),)) == [
+    assert _columns(n, word + (shear,)) is None
+    assert _columns(n, word + (Diagonal((Q(1), Q(2))),)) == [
         [0, 1], [2, 0], [1, 0]]
 
 
