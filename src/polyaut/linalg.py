@@ -1,12 +1,16 @@
 """Exact linear algebra over the rationals.
 
-Small dense routines for matrices given as lists of Fraction rows (the
-determinant is a scalar Bareiss elimination over the ints), plus the
-incremental sparse dependence finder over GF(p) used by the
+The incremental sparse dependence finder over GF(p) used by the
 minimal-polynomial search, and rational reconstruction to lift its residues
-back to Q.  No floating point anywhere; every pivot decision is a
-deterministic "first nonzero entry" choice, in the order keys first appear.
-It all works on Fractions and ints, so no other polyaut module is imported.
+back to Q, plus two small dense routines for matrices given as lists of
+Fraction rows: the determinant (a scalar Bareiss elimination over the ints)
+and the inverse.  No library module calls the dense two, since an affine
+map is checked, inverted and expanded by its own integer elimination in
+tame; they stay as the Fraction references of the tests and the routines
+the benchmark's tracer (perfbench) times by name.  No floating point
+anywhere; every pivot decision is a deterministic "first nonzero entry"
+choice, in the order keys first appear.  It all works on Fractions and
+ints, so no other polyaut module is imported.
 
 The finder packs each row into one int of fixed-width fields, so a row
 operation is one big-int multiply-add instead of a loop over entries.  A
@@ -28,7 +32,8 @@ def mat_det(rows) -> Fraction:
     Each row is scaled to integers by the lcm of its denominators.  Each
     step eliminates the first column of what is left and divides exactly
     by the previous pivot, so every entry stays a minor of the scaled
-    matrix; a zero column gives 0.
+    matrix; a zero column gives 0.  Not called in the library: it is a
+    reference for the tests, and the benchmark's tracer wraps it by name.
     """
     rows = [[Fraction(x) for x in row] for row in rows]
     if not rows or any(len(row) != len(rows) for row in rows):
@@ -53,7 +58,9 @@ def mat_det(rows) -> Fraction:
 
 
 def mat_inverse(rows):
-    """Inverse matrix; raises ValueError if singular."""
+    """Inverse matrix, by Gauss-Jordan elimination on Fractions; raises
+    ValueError if singular.  Not called in the library: it is a reference
+    for the tests, and the benchmark's tracer wraps it by name."""
     a = [[Fraction(x) for x in row] for row in rows]
     n = len(a)
     if any(len(row) != n for row in a):
@@ -72,10 +79,6 @@ def mat_inverse(rows):
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
-
-
-def mat_vec(rows, vec):
-    return [sum((a * v for a, v in zip(row, vec)), Fraction(0)) for row in rows]
 
 
 class UnluckyPrime(ArithmeticError):

@@ -12,12 +12,14 @@ three cases.  A diagonal is merged into D exactly.  An elementary is pushed
 through D once, using the exact rewriting D o E = E~ o D: E~ adds
 g~ = c_i * g(X_1/c_1, ..., X_n/c_n) to slot i, and the push is checked
 exactly in slot i, the only coordinate where the two sides can differ.  An
-affine factor is expanded by Gauss-Jordan elimination in integers into
-matrix steps, each pushed through D as one scalar and built into its
-elementary once, and diagonals, which are merged; one matrix identity
-checks the block: it must recompose to D o [A | b].  A failed check raises
-InconsistencyError, so it holds under python -O too.  These checks certify
-the whole normal form, and the word is never composed as a map to check it.
+affine factor is expanded once, when it is made, by Gauss-Jordan
+elimination in integers, which also refuses a singular A; its determinant
+and inverse read that expansion too.  In the scan its matrix steps are
+each pushed through D as one scalar and built into its elementary once,
+and its diagonals are merged; one matrix identity checks the block: it
+must recompose to D o [A | b].  A failed check raises InconsistencyError, so it
+holds under python -O too.  These checks certify the whole normal form,
+and the word is never composed as a map to check it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from math import gcd, lcm, prod
 from typing import Union
 
 from .endo import Endo
-from .linalg import mat_det, mat_inverse, mat_vec
 from .poly import InconsistencyError, Poly, Record, _brief, check_dimension, is_int
 from .textio import _read_rational, parse_poly, render_poly
 
@@ -92,9 +93,17 @@ class Elementary(Record):
 
 class Affine(Record):
     """X -> AX + b with det A != 0; A is a tuple of rows and b a tuple,
-    all of Fractions."""
+    all of Fractions.
 
-    __slots__ = ("A", "b")
+    The constructor expands the map once (_expand_affine) and keeps the
+    steps on _steps, which is not a field: equality, hashing, repr, copy
+    and pickle read A and b alone, and a copy expands, so checks, again
+    through the constructor.  A singular A has no expansion and is refused
+    with ValueError.
+    """
+
+    __slots__ = ("A", "b", "_steps")
+    _fields = ("A", "b")
 
     def __post_init__(self):
         A = tuple(tuple(map(_fraction, row)) for row in self.A)
@@ -104,8 +113,7 @@ class Affine(Record):
             raise ValueError("need a square matrix and a matching vector")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
-        if mat_det(A) == 0:
-            raise ValueError("affine part is singular")
+        object.__setattr__(self, "_steps", _expand_affine(A, b))
 
     @property
     def n(self) -> int:
@@ -246,25 +254,36 @@ def word_to_endo(w: TameWord) -> Endo:
 
 
 def generator_determinant(f: Generator) -> Fraction:
-    """Jacobian determinant contributed by one generator."""
+    """Jacobian determinant contributed by one generator.  For an affine
+    map it is the product of the entries of its expansion's diagonals: a
+    transvection has determinant 1, and a row swap contributes the -1 of
+    its diagonal."""
     if isinstance(f, Elementary):
         return Fraction(1)
     if isinstance(f, Diagonal):
         return prod(f.c)
-    return mat_det(f.A)
+    return prod((v for s in f._steps if isinstance(s, Diagonal) for v in s.c),
+                start=Fraction(1))
 
 
 # ----------------------------------------------------------------------
 # inversion
 
 def invert_generator(f: Generator) -> Generator:
+    """The inverse generator.  An affine map is inverted through its
+    expansion, with no elimination of its own: the steps in reverse order,
+    each transvection negated and each diagonal inverted, recompose
+    (_affine_matrix) to [A^-1 | -A^-1 b]."""
     if isinstance(f, Diagonal):
         return Diagonal(tuple(1 / v for v in f.c))
     if isinstance(f, Elementary):
         return Elementary(f.i, -f.g)
-    inv = mat_inverse(f.A)
-    neg_b = [-v for v in mat_vec(inv, f.b)]
-    return Affine(tuple(tuple(row) for row in inv), tuple(neg_b))
+    n = f.n
+    cols = _affine_matrix(n, [invert_generator(s) if isinstance(s, Diagonal)
+                              else _transvection(n, s[0], s[1], -s[2])
+                              for s in reversed(f._steps)])
+    cols = [[Fraction(v, d) for v in col] for col, d in cols]
+    return Affine(tuple(zip(*cols[:n])), tuple(cols[n]))
 
 
 def invert_word(w: TameWord) -> TameWord:
@@ -293,17 +312,20 @@ def affine_to_word(f: Affine) -> TameWord:
     inverse of each row operation as a transvection, a zero pivot fixed by
     a row swap expanded as T_{i,j} = A_{i,j,1} o A_{j,i,-1} o A_{i,j,1} o D~
     with D~ = -1 in slot i; whatever diagonal remains is the last factor
-    (_expand_affine).  Each step becomes its elementary once, and
+    (_expand_affine, kept on f).  Each step becomes its elementary once, and
     _check_block raises InconsistencyError unless they recompose to [A | b].
     """
-    factors = [s if isinstance(s, Diagonal) else _transvection(f.n, *s) for s in _expand_affine(f)]
+    factors = [s if isinstance(s, Diagonal) else _transvection(f.n, *s) for s in f._steps]
     _check_block(f, factors, (1,) * f.n)
     return TameWord(tuple(factors), f.n)
 
 
-def _expand_affine(f: Affine) -> list:
-    """The factors of affine_to_word, unchecked, as steps (i, l, a) (see
-    _transvection) and Diagonals; no Poly or Elementary is built.
+def _expand_affine(A: tuple, b: tuple) -> tuple:
+    """The factors of affine_to_word for X -> AX + b, unchecked, as steps
+    (i, l, a) (see _transvection) and Diagonals; no Poly or Elementary is
+    built.  The Affine constructor runs it once on its validated A and b
+    and keeps the result; a column with no pivot means A is singular, and
+    raises ValueError.
 
     Row i of A is held as ints r_i over a denominator d_i.  Clearing entry
     k of row i with pivot row k (pivot p_k = r_k[k]) is the step with
@@ -311,14 +333,16 @@ def _expand_affine(f: Affine) -> list:
     p_k * r_i - r_i[k] * r_k over d_i * p_k, both divided by the gcd of
     its entries and its denominator.
     """
-    n = f.n
-    steps = [(i, n, v) for i, v in enumerate(f.b) if v]
+    n = len(A)
+    steps = [(i, n, v) for i, v in enumerate(b) if v]
     rows = []
-    for row in f.A:
+    for row in A:
         d = lcm(*(v.denominator for v in row))
         rows.append(([v.numerator * (d // v.denominator) for v in row], d))
     for k in range(n):
-        r = next(r for r in range(k, n) if rows[r][0][k])
+        r = next((r for r in range(k, n) if rows[r][0][k]), None)
+        if r is None:
+            raise ValueError("affine part is singular")
         if r != k:
             rows[k], rows[r] = rows[r], rows[k]
             steps += [(k, r, Fraction(1)), (r, k, Fraction(-1)), (k, r, Fraction(1)),
@@ -336,7 +360,7 @@ def _expand_affine(f: Affine) -> list:
     diag = tuple(Fraction(row[k], d) for k, (row, d) in enumerate(rows))
     if any(v != 1 for v in diag):
         steps.append(Diagonal(diag))
-    return steps
+    return tuple(steps)
 
 
 def _affine_matrix(n: int, factors) -> list:
@@ -463,13 +487,14 @@ def _push_step(c: tuple, i: int, l: int, a: Fraction) -> tuple:
 def _push_affine(d: Diagonal, f: Affine) -> tuple:
     """Rewrite D o f as E~_1 o ... o E~_k o D', returned as ([E~_j], D').
 
-    Each step of f's expansion is pushed through the diagonal merged so far
-    as one scalar (_push_step) and built into its elementary once, and each
-    diagonal is merged; one matrix identity checks the block (_check_block).
+    Each step of the expansion kept on f is pushed through the diagonal
+    merged so far as one scalar (_push_step) and built into its elementary
+    once, and each diagonal is merged; one matrix identity checks the block
+    (_check_block).
     """
     n, c = f.n, d.c
     block = []
-    for s in _expand_affine(f):
+    for s in f._steps:
         if isinstance(s, Diagonal):
             d = _merge_diagonals(d, s)
         else:

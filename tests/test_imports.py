@@ -21,7 +21,7 @@ SRC = str(Path(polyaut.__file__).resolve().parent.parent)
 # what `import polyaut.cli` loads; every subcommand loads at least this
 BASE = {"polyaut", "polyaut.cli", "polyaut.poly", "polyaut.endo", "polyaut.textio"}
 LOCFIN = BASE | {"polyaut.locfin", "polyaut.linalg"}
-TAME = BASE | {"polyaut.tame", "polyaut.linalg"}
+TAME = BASE | {"polyaut.tame"}
 WITNESS = TAME | {"polyaut.witness"}
 
 # prints the exit code of polyaut.cli.main on argv and the modules loaded
@@ -83,8 +83,19 @@ def test_leading_orbit_proves_degrees_in_the_base_layer():
     assert not {"polyaut.locfin", "polyaut.linalg"} & set(out[1].split())
 
 
+def test_tame_imports_no_dense_linear_algebra():
+    # an affine map is checked, inverted and expanded by its own integer
+    # elimination, so the tame layer never loads linalg
+    out = fresh(
+        "import sys, polyaut.tame\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('polyaut')))"
+    ).stdout.split()
+    assert "polyaut.tame" in out and "polyaut.linalg" not in out
+
+
 WORD = {"n": 2, "factors": [{"kind": "diagonal", "c": ["2", "1"]},
-                            {"kind": "elementary", "i": 2, "g": "x1^2"}]}
+                            {"kind": "elementary", "i": 2, "g": "x1^2"},
+                            {"kind": "affine", "A": [["0", "1"], ["1", "0"]], "b": ["1", "0"]}]}
 SHEAR = ["--n", "2", "--map", "X+Y^2, Y"]
 
 

@@ -12,7 +12,6 @@ from polyaut.linalg import (
     UnluckyPrime,
     mat_det,
     mat_inverse,
-    mat_vec,
     rational_reconstruction,
 )
 
@@ -74,10 +73,6 @@ def test_inverse_roundtrip():
     assert inv == [[Q(3), Q(-1)], [Q(-5), Q(2)]]
     with pytest.raises(ValueError):
         mat_inverse([[Q(1), Q(2)], [Q(2), Q(4)]])
-
-
-def test_mat_vec():
-    assert mat_vec([[1, 2], [3, 4]], [Q(1), Q(1)]) == [Q(3), Q(7)]
 
 
 @given(square(3))

@@ -9,12 +9,12 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from polyaut import cli, poly, tame
+from polyaut import cli, linalg, poly, tame
 from polyaut.endo import Endo, verify_inverse_pair
-from polyaut.linalg import mat_det
+from polyaut.linalg import mat_det, mat_inverse
 from polyaut.locfin import InconsistencyError
 from polyaut.poly import Poly
 from polyaut.tame import (
@@ -194,10 +194,10 @@ entries = st.fractions(min_value=-7, max_value=7, max_denominator=9)
 
 
 @st.composite
-def forced_affines(draw):
-    """(case, f): most draws force a zero pivot at some step k (row k agrees
-    with a combination of the rows above it up to column k), a negative
-    first pivot, or the identity matrix."""
+def forced_matrices(draw):
+    """(case, rows, b): most draws force a zero pivot at some step k (row k
+    agrees with a combination of the rows above it up to column k), a
+    negative first pivot, or the identity matrix; rows may be singular."""
     n = draw(st.integers(min_value=1, max_value=4))
     rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
     case = draw(st.sampled_from(("zero pivot", "negative pivot", "identity", "free")))
@@ -212,8 +212,15 @@ def forced_affines(draw):
         rows = [[Q(int(r == l)) for l in range(n)] for r in range(n)]
     else:
         case = "free"
+    return case, rows, [draw(entries) for _ in range(n)]
+
+
+@st.composite
+def forced_affines(draw):
+    """(case, f): a forced_matrices draw whose rows are nonsingular."""
+    case, rows, b = draw(forced_matrices())
     assume(mat_det(rows) != 0)
-    return case, Affine(rows, [draw(entries) for _ in range(n)])
+    return case, Affine(rows, b)
 
 
 @given(forced_affines())
@@ -230,6 +237,41 @@ def test_integer_expansion_matches_fraction_reference(case_and_affine):
         assert swaps
     if case == "identity":
         assert not any(isinstance(g, Diagonal) for g in got)
+
+
+@given(forced_matrices())
+@example(("free", [[Q(1), Q(2)], [Q(2), Q(4)]], [Q(0), Q(0)]))
+@example(("free", [[Q(0)]], [Q(1)]))
+@example(("free", [[Q(0), Q(1), Q(2)], [Q(0), Q(3), Q(1, 3)], [Q(0), Q(-2), Q(5)]],
+          [Q(0)] * 3))  # zero first column
+@example(("free", [[Q(1), Q(2), Q(3)], [Q(2), Q(4), Q(7)], [Q(1), Q(2), Q(4)]],
+          [Q(1)] * 3))  # no pivot in column 2 after a row was cleared
+@settings(deadline=None, max_examples=200)
+def test_singular_affine_is_refused_by_its_expansion(case_rows_b):
+    # the expansion's pivot search is the only singularity check
+    _, rows, b = case_rows_b
+    if mat_det(rows) == 0:
+        with pytest.raises(ValueError, match="^affine part is singular$"):
+            Affine(rows, b)
+    else:
+        assert Affine(rows, b).A == tuple(map(tuple, rows))
+
+
+@given(forced_affines())
+@example(("identity", Affine([[Q(int(r == l)) for l in range(3)] for r in range(3)], [Q(5)] * 3)))
+@settings(deadline=None, max_examples=200)
+def test_inverse_and_determinant_read_the_expansion(case_and_affine):
+    # against the Fraction elimination of linalg: (A^-1, -A^-1 b) and
+    # det A, a Fraction also for the identity, which expands to no diagonal
+    case, f = case_and_affine
+    inv = mat_inverse(f.A)
+    assert invert_generator(f) == Affine(
+        inv, [-sum((a * v for a, v in zip(row, f.b)), Q(0)) for row in inv])
+    det = generator_determinant(f)
+    assert det == mat_det(f.A)
+    assert type(det) is Fraction
+    if case == "identity":
+        assert det == 1
 
 
 def _reference_affine_matrix(n, factors):
@@ -542,6 +584,38 @@ def test_each_factor_is_checked_once(monkeypatch):
     assert pushed == [f for f in w.factors if isinstance(f, Elementary)]
     assert checked == [3] * sum(isinstance(f, Affine) for f in w.factors)
     assert len(nf.elementaries) == len(pushed) + expanded
+
+
+def test_each_affine_is_expanded_once(monkeypatch):
+    # an affine factor is eliminated once, when it is made: reading the
+    # word, two normal forms, its expansion as a word and its determinant
+    # all read the steps kept on it, and none calls the dense routines
+    rng = random.Random(67)
+    factors = [SWAP, random_elementary(rng, 2, 2), random_affine(rng, 2),
+               random_diagonal(rng, 2), Affine(((Q(1, 2), Q(3)), (Q(0), Q(-2))), (Q(0), Q(1)))]
+    w = TameWord(tuple(factors), 2)
+    doc, want = w.to_json(), normal_form(w)
+    expanded = []
+    expand = tame._expand_affine
+
+    def counted(*args):
+        expanded.append(args)
+        return expand(*args)
+
+    def refuse(*args):
+        raise AssertionError("a dense linalg routine was called")
+
+    monkeypatch.setattr(tame, "_expand_affine", counted)
+    monkeypatch.setattr(linalg, "mat_det", refuse)
+    monkeypatch.setattr(linalg, "mat_inverse", refuse)
+    read = TameWord.from_json(doc)
+    assert read == w
+    assert normal_form(read) == normal_form(read) == want
+    affines = [f for f in read.factors if isinstance(f, Affine)]
+    for f in affines:
+        assert affine_to_word(f).factors
+        assert generator_determinant(f) != 0
+    assert len(expanded) == len(affines) == 3
 
 
 def test_each_elementary_is_built_once(monkeypatch):
