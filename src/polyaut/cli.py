@@ -67,7 +67,9 @@ def _load_maps(maps: list, files: list, n_flag) -> list:
 
 
 def _load_single_map(args) -> Endo:
-    maps, files = ([] if v is None else [v] for v in (args.map, args.file))
+    maps, files = args.map or [], args.file or []
+    if len(maps) > 1 or len(files) > 1:
+        raise ValueError("give one --map or --file; only compose takes several")
     return _load_maps(maps, files, args.n)[0]
 
 
@@ -159,13 +161,15 @@ def _cmd_minpoly_invert(args):
 
 
 def _cmd_normal_form(args):
+    if len(args.file) > 1:
+        raise ValueError("give one --file")
     import json
 
     from .tame import TameWord, normal_form
 
     # normal_form certifies every step it takes (see its docstring), and a
     # failed step raises InconsistencyError before anything is printed
-    doc = normal_form(TameWord.from_json(_read_text(args.file))).to_word().to_json_dict()
+    doc = normal_form(TameWord.from_json(_read_text(args.file[0]))).to_word().to_json_dict()
     lines = [json.dumps(f) for f in doc["factors"]] + ["recomposition_verified: true"]
     doc["recomposition_verified"] = True
     return 0, doc, lines
@@ -197,15 +201,13 @@ def _cmd_parse_check(args):
 
 # ----------------------------------------------------------------------
 
-def _add_map_flags(sub, repeatable=False):
-    if repeatable:
-        sub.add_argument("--map", action="append",
-                         help="inline map expressions (repeatable, composed left to right)")
-        sub.add_argument("--file", action="append",
-                         help="JSON map document path (repeatable)")
-    else:
-        sub.add_argument("--map", help="inline comma-separated coordinate expressions")
-        sub.add_argument("--file", help="JSON map document path")
+def _add_map_flags(sub):
+    # appended, so that a repeated flag is refused rather than overridden
+    sub.add_argument("--map", action="append",
+                     help="inline comma-separated coordinate expressions "
+                     "(compose takes several, composed left to right)")
+    sub.add_argument("--file", action="append",
+                     help="JSON map document path (compose takes several)")
     sub.add_argument("--n", type=int, help="ambient dimension (required with --map)")
 
 
@@ -230,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
         return sub
 
     sub = add("compose", _cmd_compose, "compose maps left to right")
-    _add_map_flags(sub, repeatable=True)
+    _add_map_flags(sub)
 
     sub = add("iterate", _cmd_iterate, "m-th iterate of a map")
     _add_map_flags(sub)
@@ -251,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = add("normal-form", _cmd_normal_form,
               "rewrite a tame word as elementaries then one diagonal")
-    sub.add_argument("--file", required=True, help="JSON word document path")
+    sub.add_argument("--file", action="append", required=True,
+                     help="JSON word document path")
 
     sub = add("witness-obs2", _cmd_witness_obs2,
               "doubling-conjugation witness for an elementary map")

@@ -24,14 +24,13 @@ over one common denominator, keyed by its exponent tuple packed into a
 single int (after Monagan and Pearce, CASC 2007), so the inner loop adds
 ints and multiplies ints.  The result is unpacked once, back into the
 canonical map above.  The kernel does only the work its operands need.
-A one-term factor skips it, and so does a substitution whose arguments
-all have one term, such as the scalings c_l * x_l of a diagonal: each
-term then maps straight to one term.  A square (the same packed dict
-twice, as `Poly.__pow__` and the second power of an argument give it)
-takes each cross product once.  Exact division
-(in `Poly.divide_exact` and the determinant in `endo`) shares the packing:
-`_divide_packed`.  Packing lives only inside these kernels; `terms` stays
-the canonical {exponent tuple: Fraction} map.
+A substitution whose arguments all have one term, such as the scalings
+c_l * x_l of a diagonal, skips it: each term then maps straight to one
+term.  A square (the same packed dict twice, as `Poly.__pow__` and the
+second power of an argument give it) takes each cross product once.
+Exact division (in `Poly.divide_exact` and the determinant in `endo`)
+shares the packing: `_divide_packed`.  Packing lives only inside these
+kernels; `terms` stays the canonical {exponent tuple: Fraction} map.
 
 Every other module imports this one, so it also holds what they all
 share.  `Record` is the base of every immutable value class: Poly itself,
@@ -51,7 +50,7 @@ from functools import reduce
 from itertools import groupby
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
-from operator import add, lshift, mul
+from operator import lshift, mul
 from typing import Mapping, Sequence, Union
 
 Monomial = tuple  # exponent tuple, one entry per variable
@@ -318,14 +317,6 @@ class Poly(Record):
         a, b = self.terms, other.terms
         if not a or not b:
             return Poly.zero(self.n)
-        if len(a) < len(b):
-            a, b = b, a
-        if len(b) == 1:
-            # a monomial factor shifts exponents and scales coefficients
-            ((mb, cb),) = b.items()
-            return Poly._raw(
-                self.n, {tuple(map(add, m, mb)): c * cb for m, c in a.items()}
-            )
         shifts = _shifts(self.n, max(map(sum, a)) + max(map(sum, b)))
         ia, la = _pack(a, shifts)
         # a square packs once, so that the kernel sees one dict twice

@@ -74,7 +74,6 @@ class _Parser:
         self.n = n
         self.tokens = _tokenize(text)
         self.k = 0
-        self.names = {}  # each variable name met so far: its 0-based index
 
     def peek(self):
         return self.tokens[self.k]
@@ -136,10 +135,7 @@ class _Parser:
                 e = self.exponent()
                 num, den = num * p**e, den * q**e
             elif kind == "name":
-                i = self.names.get(val)
-                if i is None:
-                    i = self.names[val] = self.variable_index(val, pos) - 1
-                exps[i] += self.exponent()
+                exps[self.variable_index(val, pos) - 1] += self.exponent()
             elif kind == "(":
                 f = self.expr()
                 if not self.accept(")"):

@@ -94,6 +94,15 @@ def test_lf_certify_certified(capsys):
     assert "minimal_polynomial: T^2 - 2*T + 1" in out
 
 
+def test_zero_iterate_degree_is_minus_inf_in_text_and_null_in_json(capsys):
+    code, out, _ = run(capsys, "lf-certify", "--n", "1", "--map", "0")
+    assert code == 0
+    assert "iterate_degrees: 1 -inf\n" in out
+    code, out, _ = run(capsys, "lf-certify", "--n", "1", "--map", "0", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["iterate_degrees"] == [1, None]
+
+
 def test_minpoly_invert(capsys):
     code, out, _ = run(capsys, "minpoly-invert", "--n", "2", "--map", "X+Y^2, Y")
     assert code == 0
@@ -333,6 +342,30 @@ def test_missing_map_gives_exit_3(capsys):
 def test_map_flags_are_checked_alike(capsys, subcommand, flags, message):
     # compose repeats --map and --file, but loads through the same checks
     code, out, err = run(capsys, subcommand, *flags)
+    assert (code, out) == (3, "")
+    assert err == f"polyaut: error: {message}\n"
+
+
+ONE_MAP = [["iterate", "--times", "2"], ["jacobian"], ["lf-certify"], ["minpoly-invert"],
+           ["witness-obs2"], ["witness-obs3"], ["parse-check"]]
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    *(pytest.param([*cmd, "--n", "2", flag, value, flag, value],
+                   '{"n": 2, "coords": ["x1 + x2^2", "x2"]}',
+                   "give one --map or --file; only compose takes several",
+                   id=f"{cmd[0]}{flag}")
+      for cmd in ONE_MAP for flag, value in (("--map", "x1 + x2^2, x2"), ("--file", "DOC"))),
+    pytest.param(["normal-form", "--file", "DOC", "--file", "DOC"],
+                 '{"n": 2, "factors": [{"kind": "diagonal", "c": ["2", "1"]}]}',
+                 "give one --file", id="normal-form--file"),
+])
+def test_a_repeated_map_or_word_gives_exit_3(capsys, tmp_path, argv, doc, message):
+    # only compose reads several maps; any other subcommand refuses a
+    # second one rather than dropping all but the last
+    path = tmp_path / "doc.json"
+    path.write_text(doc)
+    code, out, err = run(capsys, *(str(path) if a == "DOC" else a for a in argv))
     assert (code, out) == (3, "")
     assert err == f"polyaut: error: {message}\n"
 

@@ -5,6 +5,7 @@ an import-order cycle or a missing lazy import would go unnoticed there.
 Each test here starts `python` anew and reports what it loaded.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -183,6 +184,29 @@ def test_each_submodule_resolves_after_a_bare_import(name):
         "import sys, polyaut\n"
         f"if polyaut.{name} is not sys.modules['polyaut.{name}']: sys.exit(1)"
     )
+
+
+def _traced_names():
+    # the benchmark's tracer imports only the standard library, so its
+    # module loads on its own, without the rest of perfbench
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return [target[:2] for target in tracing.TARGETS]
+
+
+TRACED = _traced_names()
+
+
+@pytest.mark.parametrize("module, attribute", TRACED, ids=[f"{m}.{a}" for m, a in TRACED])
+def test_each_traced_name_resolves(module, attribute):
+    # the tracer replaces each of these by name, so a rename or a deletion
+    # in the library fails here, with the name, and not in a benchmark run
+    obj = importlib.import_module("polyaut." + module)
+    for part in attribute.split("."):
+        assert hasattr(obj, part), f"polyaut.{module}.{attribute} does not resolve"
+        obj = getattr(obj, part)
 
 
 def test_star_import_and_unknown_names():

@@ -720,6 +720,17 @@ def test_prediction_runs_only_off_a_plateau(monkeypatch):
     assert reports[0].iterate_degrees == (1, 2, 2, 2)
 
 
+def test_a_relation_that_fails_to_vanish_raises(monkeypatch):
+    # past the Hadamard/Cramer limit the lifted relation is the only
+    # candidate, so one that does not vanish is an inconsistency; a short
+    # prime list lets a search that skips the raise end instead of running on
+    monkeypatch.setattr(locfin, "verify_vanishing", lambda g, mu: False)
+    primes = list(itertools.islice(locfin._primes(), 4))
+    monkeypatch.setattr(locfin, "_primes", lambda: iter(primes))
+    with pytest.raises(InconsistencyError, match="^certified relation failed to vanish$"):
+        lf_certify(shear())
+
+
 # ----------------------------------------------------------------------
 # no certificate rests on an assert
 

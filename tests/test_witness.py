@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from polyaut.endo import Endo, verify_inverse_pair
 from polyaut.locfin import inverse_from_minpoly, lf_certify, UniPoly
 from polyaut import witness
-from polyaut.poly import InconsistencyError, Poly
-from polyaut.tame import Elementary
+from polyaut.poly import InconsistencyError, Poly, VerificationError
+from polyaut.tame import Diagonal, Elementary, gen_to_endo
 from polyaut.textio import parse_map, parse_poly
 from polyaut.witness import (
     Witness,
@@ -243,6 +243,20 @@ def test_verify_rejects_garbage():
         assert not reference_verify(*fields)
         with pytest.raises(InconsistencyError, match="^not a witness: " + re.escape(message)):
             Witness(*fields)
+
+
+@pytest.mark.parametrize("owner, name, wrong, message", [
+    # L = (X/2, Y/2, Z) in place of (X/4, Y/2, Z)
+    (witness, "gen_to_endo", lambda d: gen_to_endo(Diagonal((2 * d.c[0],) + d.c[1:])),
+     "sigma o L != sigma/4"),
+    (witness, "nagata", nagata_inverse, "F^-1 o L o F does not match the closed form"),
+    (Endo, "jacobian_det", lambda g: Poly.constant(g.n, 2), "det J(F) != 1"),
+], ids=["semi-invariant", "closed-form", "jacobian"])
+def test_obs4_refuses_each_failed_step(monkeypatch, owner, name, wrong, message):
+    # each step is checked where it is taken, before the Witness check
+    monkeypatch.setattr(owner, name, wrong)
+    with pytest.raises(VerificationError, match="^" + re.escape(message) + "$"):
+        witness_obs4()
 
 
 def test_copies_and_pickles_are_checked(monkeypatch):
