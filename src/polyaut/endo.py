@@ -13,8 +13,8 @@ from math import lcm, prod
 from typing import Sequence
 
 from .poly import (
-    NEG_INF, InconsistencyError, Poly, Rational, Record, _convolve, _divide_packed, _pack,
-    _shifts, _substitute, _unpack, is_int,
+    NEG_INF, InconsistencyError, Poly, Rational, Record, _convolve, _divide_packed, _normal,
+    _pack, _shifts, _substitute, _unpack, is_int,
 )
 
 
@@ -178,8 +178,9 @@ class LeadingOrbit:
 
 
 def _mod(c: Poly, p: int) -> list:
-    # the terms of c, with coefficients mod p
-    return [(mono, v.numerator * pow(v.denominator, -1, p) % p) for mono, v in c.terms.items()]
+    # the terms of c, with coefficients mod p: one inverse, of c.den
+    inv = pow(c.den, -1, p)
+    return [(mono, v * inv % p) for mono, v in c.num.items()]
 
 
 def _top(terms: list, degrees: tuple, values: tuple, p: int) -> tuple:
@@ -226,11 +227,10 @@ class SquareMatrixPoly(Record):
         size = self.size
         dim = rows[0][0].n
         # a numerator multiplies two minors: at most twice the rows' degree sum
-        bound = 2 * sum(max(max(map(sum, p.terms), default=0) for p in r) for r in rows)
+        bound = 2 * sum(max(max(map(sum, p.num), default=0) for p in r) for r in rows)
         shifts = _shifts(dim, bound)
-        scales = [lcm(*(c.denominator for p in r for c in p.terms.values()))
-                  for r in rows]
-        m = [[_pack(p.terms, shifts, lr)[0] for p in r] for r, lr in zip(rows, scales)]
+        scales = [lcm(*(p.den for p in r)) for r in rows]
+        m = [[_pack(p.num, shifts, lr // p.den) for p in r] for r, lr in zip(rows, scales)]
         scale = prod(scales)
         for k in range(size - 1):
             piv = next((r for r in range(k, size) if m[r][k]), None)
@@ -250,7 +250,7 @@ class SquareMatrixPoly(Record):
                         else {key: v for key, v in num.items() if v}
                     )
             prev = mk[k]
-        return Poly._raw(dim, _unpack(m[-1][-1], scale, shifts))
+        return _unpack(dim, m[-1][-1], scale, shifts)
 
 
 # ----------------------------------------------------------------------
@@ -260,8 +260,8 @@ def linear_combination(coeffs: Sequence[Rational], maps: Sequence[Endo]) -> Endo
     """Coordinatewise rational linear combination sum_k coeffs[k] * maps[k].
 
     Each coordinate is summed in integers over one common denominator,
-    the lcm of c.denominator * lcm(denominators of the map's coefficients)
-    over the maps with c != 0; only the nonzero sums become Fractions.
+    the lcm of c.denominator * den over the coordinates num / den of the
+    maps with c != 0, and made canonical once (_normal).
     """
     coeffs = [Fraction(c) for c in coeffs]
     maps = list(maps)
@@ -274,20 +274,16 @@ def linear_combination(coeffs: Sequence[Rational], maps: Sequence[Endo]) -> Endo
         raise ValueError("maps have mixed dimensions")
     coords = []
     for i in range(n):
-        parts = []
-        for c, g in zip(coeffs, maps):
-            if c:
-                terms = g.coords[i].terms
-                parts.append((c, terms, lcm(*(v.denominator for v in terms.values()))))
-        den = lcm(*(c.denominator * lt for c, _, lt in parts))
+        parts = [(c, g.coords[i]) for c, g in zip(coeffs, maps) if c]
+        den = lcm(*(c.denominator * p.den for c, p in parts))
         acc: dict = {}
         get = acc.get
-        for c, terms, lt in parts:
-            # c * v over den, with v = v.numerator * (lt // v.denominator) / lt
-            scale = c.numerator * (den // (c.denominator * lt))
-            for mono, v in terms.items():
-                acc[mono] = get(mono, 0) + scale * (lt // v.denominator) * v.numerator
-        coords.append(Poly._raw(n, {m: Fraction(v, den) for m, v in acc.items() if v}))
+        for c, p in parts:
+            # c * v / p.den over den
+            scale = c.numerator * (den // (c.denominator * p.den))
+            for mono, v in p.num.items():
+                acc[mono] = get(mono, 0) + scale * v
+        coords.append(_normal(n, {m: v for m, v in acc.items() if v}, den))
     return Endo(coords)
 
 

@@ -12,11 +12,14 @@ anywhere; every pivot decision is a deterministic "first nonzero entry"
 choice, in the order keys first appear.  It all works on Fractions and
 ints, so no other polyaut module is imported.
 
-The finder packs each row into one int of fixed-width fields, so a row
-operation is one big-int multiply-add instead of a loop over entries.  A
-field holds 2*bits(p) + 64 bits, rounded up to whole bytes: entries stay
-below p and each operation adds less than p^2 to a field, so 2^64
-operations cannot carry from one field into the next.
+The finder takes each vector as integer numerators over one
+denominator, the form a Poly keeps its coefficients in, so reducing a
+vector mod p costs one inverse, of that denominator, and one product per
+entry; no entry is a Fraction.  It packs each row into one int of
+fixed-width fields, so a row operation is one big-int multiply-add instead
+of a loop over entries.  A field holds 2*bits(p) + 64 bits, rounded up to
+whole bytes: entries stay below p and each operation adds less than p^2
+to a field, so 2^64 operations cannot carry from one field into the next.
 """
 
 from __future__ import annotations
@@ -93,15 +96,16 @@ class DependenceFinder:
     """Incremental search for a linear dependence among vectors over GF(p),
     for one prime p, on packed integer rows.
 
-    Vectors are sparse maps {key: Fraction}, fed in one at a time.  `add`
-    returns None while they stay independent mod p, then the first
-    dependence as {vector_index: residue} with residue 1 on the newest
-    vector.  Entries are reduced mod p on the way in, with one cached
-    inverse per denominator; one whose denominator p divides raises
-    UnluckyPrime.  The rank mod p is at most the rank over Q (clear the
-    denominators of a rational dependence and reduce it), so the first
-    dependence found here comes no later than the rational one; whether it
-    is the same one only an exact check can tell.
+    A vector is fed in one at a time as integer numerators over one
+    denominator: add(vec, den) takes vec / den, with vec a sparse map
+    {key: int}.  `add` returns None while they stay independent mod p,
+    then the first dependence as {vector_index: residue} with residue 1 on
+    the newest vector.  Entries are reduced mod p on the way in, with one
+    inverse per vector, of den; a den that p divides raises UnluckyPrime.
+    The rank mod p is at most the rank over Q (clear the denominators of a
+    rational dependence and reduce it), so the first dependence found here
+    comes no later than the rational one; whether it is the same one only
+    an exact check can tell.
 
     A key gets the next field of a row the first time it appears with a
     nonzero residue, and vector j's coefficient sits in field j of a
@@ -120,7 +124,6 @@ class DependenceFinder:
         self._count = 0
         self._size = (2 * p.bit_length() + 64 + 7) // 8  # bytes per field
         self._slots = {}  # key -> field, in first-seen order
-        self._inverses = {}  # denominator -> its inverse mod p
 
     @property
     def rank(self) -> int:
@@ -130,21 +133,12 @@ class DependenceFinder:
     def vectors_seen(self) -> int:
         return self._count
 
-    def add(self, vec):
-        p, size, inverses, slots = self.p, self._size, self._inverses, self._slots
-        residues = []
-        for k, v in vec.items():
-            num, den = v.numerator, v.denominator
-            if den != 1:
-                inv = inverses.get(den)
-                if inv is None:
-                    if den % p == 0:
-                        raise UnluckyPrime(f"denominator {den} vanishes mod {p}")
-                    inv = inverses[den] = pow(den, -1, p)
-                num *= inv
-            r = num % p
-            if r:
-                residues.append((k, r))
+    def add(self, vec, den):
+        p, size, slots = self.p, self._size, self._slots
+        if den % p == 0:
+            raise UnluckyPrime(f"denominator {den} vanishes mod {p}")
+        inv = pow(den, -1, p)
+        residues = [(k, r) for k, v in vec.items() if (r := v * inv % p)]
         for k, _ in residues:
             slots.setdefault(k, len(slots))
         fields = [0] * len(slots)

@@ -103,8 +103,10 @@ class UniPoly(Record):
     def __str__(self):
         from .textio import _render_terms
 
-        terms = [((e,), c) for e, c in enumerate(self.coeffs) if c]
-        return _render_terms(reversed(terms), ["T"])
+        den = lcm(*(c.denominator for c in self.coeffs))
+        terms = [((e,), c.numerator * (den // c.denominator))
+                 for e, c in enumerate(self.coeffs) if c]
+        return _render_terms(reversed(terms), den, ["T"])
 
     def to_coeff_strings(self) -> list:
         """Exact coefficients a_0..a_d as strings, constant term first."""
@@ -151,12 +153,16 @@ class LFReport(Record):
         }
 
 
-def _flatten(g: Endo) -> dict:
-    return {
-        (i, mono): c
-        for i, p in enumerate(g.coords)
-        for mono, c in p.terms.items()
-    }
+def _flatten(g: Endo) -> tuple:
+    """g as one vector over the union monomial basis, in the form
+    DependenceFinder.add takes: ({(i, mono): int numerator}, den), with den
+    the lcm of the coordinates' denominators."""
+    den = lcm(*(c.den for c in g.coords))
+    vec = {}
+    for i, c in enumerate(g.coords):
+        s = den // c.den
+        vec.update({(i, mono): v * s for mono, v in c.num.items()})
+    return vec, den
 
 
 def _report(verdict: str, mu, orbit: LeadingOrbit) -> LFReport:
@@ -262,8 +268,9 @@ def _search(g: Endo, max_iter: int, max_deg: int, p: int) -> tuple:
     p found when the search added iterate m, or None when the budget ran
     out at m.  Raises UnluckyPrime when p cannot decide."""
     finder = DependenceFinder(p)
-    if any(v.numerator % p == 0 or v.denominator % p == 0
-           for c in g.coords for v in c.terms.values()):
+    # den is the lcm of the reduced denominators, so p divides one of them
+    # iff it divides den, and otherwise a reduced numerator iff it divides v
+    if any(c.den % p == 0 or any(v % p == 0 for v in c.num.values()) for c in g.coords):
         raise UnluckyPrime(f"{p} divides a coefficient or a denominator of the map")
     orbit = LeadingOrbit(g, p)
     running_max = 1
@@ -280,7 +287,7 @@ def _search(g: Endo, max_iter: int, max_deg: int, p: int) -> tuple:
             continue
 
         for k in range(added, m + 1):
-            combo = finder.add(_flatten(orbit.iterate(k)))
+            combo = finder.add(*_flatten(orbit.iterate(k)))
             if combo is not None and k < m:
                 # impossible over Q: backfilled iterates had strictly
                 # maximal degree when they were skipped
@@ -312,12 +319,9 @@ def _limit(g: Endo, m: int) -> int:
     first fails.
     """
     vectors = [_flatten(it) for it in g.orbit(m)]
-    dens = [lcm(*(v.denominator for v in vec.values())) for vec in vectors]
-    height = max(dens)
-    for vec, den in zip(vectors, dens):
-        height *= 1 + isqrt(sum(
-            (v.numerator * (den // v.denominator)) ** 2 for v in vec.values()
-        ))
+    height = max(den for _, den in vectors)
+    for vec, _ in vectors:
+        height *= 1 + isqrt(sum(v * v for v in vec.values()))
     return 2 * height**2
 
 
@@ -359,15 +363,16 @@ def inverse_from_minpoly(g: Endo, mu: UniPoly) -> Endo:
     the identity exactly when mu(g) = 0, so the one verify_inverse_pair
     check certifies the vanishing too: a mu that does not vanish raises its
     InconsistencyError.  Only a mu with mu(0) = 0 or degree 0, which gives
-    no inverse, is checked for vanishing on its own.
+    no inverse, is checked for vanishing on its own, and one that vanishes
+    raises ValueError too: it proves nothing about g unless it is minimal
+    (T^2 - T vanishes on the identity).
     """
     a0 = mu.coeffs[0]
     if a0 == 0 or mu.degree == 0:
         if not verify_vanishing(g, mu):
             raise ValueError("the given polynomial does not vanish on the map")
-        raise InconsistencyError(
-            "vanishing polynomial has zero constant term; for an automorphism "
-            "the minimal polynomial never does, so this map cannot be one"
+        raise ValueError(
+            "the vanishing polynomial has zero constant term, so no inverse can be read off it"
         )
     inv = linear_combination(
         [-(c / a0) for c in mu.coeffs[1:]], g.orbit(mu.degree - 1)

@@ -6,31 +6,36 @@ integer exponents, so
 
     x1^2 * x3  in dimension 3   ->   (2, 0, 1)
 
-and the polynomial  x1^2*x3 - 2/3  is stored as
+A Poly stores its coefficients as integer numerators over one
+denominator, as FLINT's fmpq_mpoly stores a rational content times an
+integer polynomial: `num` is {exponent tuple: nonzero int} and `den` an
+int > 0 with gcd(den, *num.values()) = 1.  So  x1^2*x3 - 2/3  is
 
-    {(2, 0, 1): Fraction(1), (0, 0, 0): Fraction(-2, 3)}
+    num = {(2, 0, 1): 3, (0, 0, 0): -2},  den = 3
 
-The zero polynomial is the empty map.  All coefficients are
-`fractions.Fraction`, so every operation in this module is exact and
-polynomial identity testing is reliable.  Values are immutable after
-construction; all operations build new objects.
+and the zero polynomial is num = {}, den = 1.  Each polynomial has exactly
+one such form, so equality and hashing compare (n, num, den).  `terms`,
+the {exponent tuple: Fraction} map, is a view, built from num and den the
+first time it is read and kept; the arithmetic never builds it.  Every
+operation is exact and polynomial identity testing is reliable.  Values
+are immutable after construction; all operations build new objects, and
+each result divides out its one content gcd (`_normal`).
 
 Every product goes through one integer kernel, `_convolve`: those of
 `Poly.__mul__`, and the powers and prefix products of `_substitute`, the
 one substitution routine, which packs its arguments once for a list of
 polynomials (`Poly.substitute` passes one, `Endo.compose` a whole map).
-For the length of one product each operand becomes integer numerators
-over one common denominator, keyed by its exponent tuple packed into a
-single int (after Monagan and Pearce, CASC 2007), so the inner loop adds
-ints and multiplies ints.  The result is unpacked once, back into the
-canonical map above.  The kernel does only the work its operands need.
-A substitution whose arguments all have one term, such as the scalings
-c_l * x_l of a diagonal, skips it: each term then maps straight to one
-term.  A square (the same packed dict twice, as `Poly.__pow__` and the
-second power of an argument give it) takes each cross product once.
-Exact division (in `Poly.divide_exact` and the determinant in `endo`)
-shares the packing: `_divide_packed`.  Packing lives only inside these
-kernels; `terms` stays the canonical {exponent tuple: Fraction} map.
+For the length of one product each operand's numerators are keyed by its
+exponent tuple packed into a single int (after Monagan and Pearce, CASC
+2007), so the inner loop adds ints and multiplies ints, and the result
+lies over the product of the denominators.  It is unpacked once: its keys
+are decoded, and one gcd makes it canonical.  The kernel does only the
+work its operands need.  A substitution whose arguments all have one
+term, such as the scalings c_l * x_l of a diagonal, skips it: each term
+then maps straight to one term.  A square (the same packed dict twice, as
+`Poly.__pow__` and the second power of an argument give it) takes each
+cross product once.  Exact division (in `Poly.divide_exact` and the
+determinant in `endo`) shares the packing: `_divide_packed`.
 
 Every other module imports this one, so it also holds what they all
 share.  `Record` is the base of every immutable value class: Poly itself,
@@ -50,7 +55,7 @@ from functools import reduce
 from itertools import groupby
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
-from operator import lshift, mul
+from operator import lshift, mul, sub
 from typing import Mapping, Sequence, Union
 
 Monomial = tuple  # exponent tuple, one entry per variable
@@ -96,12 +101,14 @@ class Record:
 
     A subclass names its constructor fields in _fields, in argument order,
     and their default values in _defaults.  _fields defaults to __slots__,
-    which may also hold slots derived from the fields or cached.  The class
-    gets a constructor with one parameter per field, which sets the fields
-    and then calls __post_init__; that may check them, normalise one and
-    set the other slots with object.__setattr__.  Records are equal when
-    they have the same class and equal fields, hash by their fields, print
-    as Cls(field=value, ...), and copy and pickle through the constructor.
+    which may also hold slots derived from the fields or cached; a field
+    that is not a slot is a property whose setter stores into one, as
+    Poly's terms does.  The class gets a constructor with one parameter per
+    field, which sets the fields and then calls __post_init__; that may
+    check them, normalise one and set the other slots with
+    object.__setattr__.  Records are equal when they have the same class
+    and equal fields, hash by their fields, print as Cls(field=value, ...),
+    and copy and pickle through the constructor.
     """
 
     __slots__ = ()
@@ -178,23 +185,56 @@ def _validated_terms(n: int, terms: Mapping[Monomial, Rational]) -> dict:
     return clean
 
 
-class Poly(Record):
-    """A sparse polynomial with exact rational coefficients."""
+_setattr = object.__setattr__
 
-    __slots__ = ("n", "terms")
+
+class Poly(Record):
+    """A sparse polynomial with exact rational coefficients, stored as
+    integer numerators num over one denominator den (see the module
+    docstring); terms is the {exponent tuple: Fraction} view."""
+
+    __slots__ = ("n", "num", "den", "_terms")
+    _fields = ("n", "terms")
     _defaults = {"terms": None}
 
     def __post_init__(self):
         check_dimension(self.n)
-        object.__setattr__(self, "terms", _validated_terms(self.n, self.terms or {}))
+        terms = _validated_terms(self.n, self._terms or {})
+        # a prime's power in den is its power in some c.denominator, whose
+        # numerator it does not divide: num / den is canonical already
+        den = lcm(*(c.denominator for c in terms.values()))
+        _setattr(self, "num", {m: c.numerator * (den // c.denominator)
+                               for m, c in terms.items()})
+        _setattr(self, "den", den)
+        _setattr(self, "_terms", terms)  # the view, built already
+
+    @property
+    def terms(self) -> dict:
+        """{exponent tuple: Fraction}, built from num and den the first
+        time it is read and kept; the arithmetic never reads it."""
+        terms = self._terms
+        if terms is None:
+            den = self.den
+            terms = {m: Fraction(v, den) for m, v in self.num.items()}
+            _setattr(self, "_terms", terms)
+        return terms
+
+    @terms.setter
+    def terms(self, terms):
+        # reached only through object.__setattr__, by the constructor that
+        # Record generates: __post_init__ validates what it stores
+        _setattr(self, "_terms", terms)
 
     @classmethod
-    def _raw(cls, n: int, terms: dict) -> "Poly":
-        # Internal fast path: terms must already be canonical
-        # (Fraction coefficients, no zeros, exponent tuples of length n).
+    def _raw(cls, n: int, num: dict, den: int = 1) -> "Poly":
+        # Internal fast path: num / den must already be canonical (int
+        # values, no zeros, exponent tuples of length n, den > 0 and
+        # gcd(den, *num.values()) == 1); _normal makes it so.
         self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", terms)
+        _setattr(self, "n", n)
+        _setattr(self, "num", num)
+        _setattr(self, "den", den)
+        _setattr(self, "_terms", None)
         return self
 
     # ------------------------------------------------------------------
@@ -208,7 +248,7 @@ class Poly(Record):
     def constant(cls, n: int, value: Rational) -> "Poly":
         check_dimension(n)
         c = Fraction(value)
-        return cls._raw(n, {(0,) * n: c} if c else {})
+        return cls._raw(n, {(0,) * n: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def variable(cls, n: int, i: int) -> "Poly":
@@ -218,7 +258,7 @@ class Poly(Record):
             raise ValueError(f"variable index {i} out of range 1..{n}")
         exp = [0] * n
         exp[i - 1] = 1
-        return cls._raw(n, {tuple(exp): Fraction(1)})
+        return cls._raw(n, {tuple(exp): 1})
 
     @classmethod
     def variables(cls, n: int) -> tuple["Poly", ...]:
@@ -230,33 +270,33 @@ class Poly(Record):
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.n, Fraction(0))
+        return self.coefficient((0,) * self.n)
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
+        return Fraction(self.num.get(mono, 0), self.den)
 
     def sorted_terms(self) -> list:
         """Terms in descending lexicographic order of exponent tuples."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
+        return sorted(self.terms.items(), reverse=True)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.n == other.n and self.terms == other.terms
+            return self.n == other.n and self.den == other.den and self.num == other.num
         if isinstance(other, (int, Fraction)):
             return self == Poly.constant(self.n, other)
         return NotImplemented
 
     def __hash__(self):
         # a constant equals its value (above), so it hashes as the value
-        if not any(map(any, self.terms)):
+        if not any(map(any, self.num)):
             return hash(self.constant_term())
-        return hash((self.n, frozenset(self.terms.items())))
+        return hash((self.n, frozenset(self.num.items()), self.den))
 
     def __repr__(self):
         return f"Poly({self.n}, {dict(self.sorted_terms())!r})"
@@ -281,19 +321,22 @@ class Poly(Record):
         elif not isinstance(other, Poly):
             return NotImplemented
         self._check_same_dimension(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, 0) + c
+        da, db = self.den, other.den
+        den = lcm(da, db)
+        sa, sb = den // da, den // db
+        out = dict(self.num) if sa == 1 else {m: v * sa for m, v in self.num.items()}
+        for mono, v in other.num.items():
+            s = out.get(mono, 0) + v * sb
             if s:
                 out[mono] = s
             else:
                 del out[mono]
-        return Poly._raw(self.n, out)
+        return _normal(self.n, out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._raw(self.n, {m: -c for m, c in self.terms.items()})
+        return Poly._raw(self.n, {m: -v for m, v in self.num.items()}, self.den)
 
     def __sub__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -307,21 +350,20 @@ class Poly(Record):
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return Poly.zero(self.n)
-            return Poly._raw(self.n, {m: v * c for m, v in self.terms.items()})
+            c = other.numerator
+            return _normal(self.n, {m: v * c for m, v in self.num.items()} if c else {},
+                           self.den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_same_dimension(other)
-        a, b = self.terms, other.terms
+        a, b = self.num, other.num
         if not a or not b:
             return Poly.zero(self.n)
         shifts = _shifts(self.n, max(map(sum, a)) + max(map(sum, b)))
-        ia, la = _pack(a, shifts)
+        ia = _pack(a, shifts)
         # a square packs once, so that the kernel sees one dict twice
-        ib, lb = (ia, la) if a is b else _pack(b, shifts)
-        return Poly._raw(self.n, _unpack(_convolve(ia, ib), la * lb, shifts))
+        ib = ia if a is b else _pack(b, shifts)
+        return _unpack(self.n, _convolve(ia, ib), self.den * other.den, shifts)
 
     __rmul__ = __mul__
 
@@ -343,33 +385,27 @@ class Poly(Record):
 
     def total_degree(self):
         """Max total degree over terms; NEG_INF for the zero polynomial."""
-        if not self.terms:
+        if not self.num:
             return NEG_INF
-        return max(map(sum, self.terms))
+        return max(map(sum, self.num))
 
     def top_form(self) -> "Poly":
         """The homogeneous component of highest total degree (the leading form)."""
-        if not self.terms:
+        if not self.num:
             return self
         d = self.total_degree()
-        return Poly._raw(self.n, {m: c for m, c in self.terms.items() if sum(m) == d})
+        return _normal(self.n, {m: v for m, v in self.num.items() if sum(m) == d}, self.den)
 
     def partial_derivative(self, i: int) -> "Poly":
         """Formal partial derivative with respect to x_i (1-based index)."""
         if not is_int(i) or not 1 <= i <= self.n:
             raise ValueError(f"variable index {i} out of range 1..{self.n}")
         k = i - 1
-        out = {}
-        for mono, c in self.terms.items():
-            e = mono[k]
-            if e:
-                m = mono[:k] + (e - 1,) + mono[k + 1:]
-                s = out.get(m, 0) + c * e
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return Poly._raw(self.n, out)
+        # distinct terms with x_i in them have distinct derivatives
+        return _normal(self.n, {
+            mono[:k] + (mono[k] - 1,) + mono[k + 1:]: v * mono[k]
+            for mono, v in self.num.items() if mono[k]
+        }, self.den)
 
     # ------------------------------------------------------------------
     # substitution
@@ -392,13 +428,27 @@ class Poly(Record):
             raise ZeroDivisionError("polynomial division by zero")
         da = self.total_degree()
         shifts = _shifts(self.n, max(da, divisor.total_degree()))
-        a, la = _pack(self.terms, shifts)
-        b, lb = _pack(divisor.terms, shifts)
+        b = _pack(divisor.num, shifts)
         # by Gauss's lemma the quotient by a primitive divisor lies in Z[x]
         content = gcd(*b.values())
         b = {k: v // content for k, v in b.items()}
-        q = {k: v * lb for k, v in _divide_packed(a, b, shifts, da).items()}
-        return Poly._raw(self.n, _unpack(q, la * content, shifts))
+        q = _divide_packed(_pack(self.num, shifts), b, shifts, da)
+        lb = divisor.den
+        return _unpack(self.n, {k: v * lb for k, v in q.items()}, self.den * content, shifts)
+
+
+def _normal(n: int, num: dict, den: int) -> Poly:
+    """The Poly num / den, for num with int values and no zeros and an int
+    den != 0: the content gcd(den, *num.values()), with den's sign, is
+    divided out, so that den > 0 and num / den is canonical."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = {m: v // g for m, v in num.items()}
+            den //= g
+    return Poly._raw(n, num, den)
 
 
 # ----------------------------------------------------------------------
@@ -422,9 +472,9 @@ def _substitute(polys: Sequence[Poly], args: Sequence[Poly]) -> list:
     for q in args:
         if q.n != m:
             raise ValueError("substitution arguments have mixed dimensions")
-    if all(len(q.terms) == 1 for q in args):
-        return [Poly._raw(m, _substitute_monomials(p.terms, args)) for p in polys]
-    monos = [mono for p in polys for mono in p.terms]
+    if all(len(q.num) == 1 for q in args):
+        return [_substitute_monomials(p, args, m) for p in polys]
+    monos = [mono for p in polys for mono in p.num]
     if not monos:
         return [Poly.zero(m) for _ in polys]
     last = n - 1
@@ -433,14 +483,14 @@ def _substitute(polys: Sequence[Poly], args: Sequence[Poly]) -> list:
     # partial product: none exceeds the degree of the largest result
     degs = [max(q.total_degree(), 0) for q in args]
     shifts = _shifts(m, max(sum(map(mul, mono, degs)) for mono in monos))
-    # each argument as numerators over its own denominator, then its
-    # powers; every term of a poly goes over the one common denominator
-    # lcm(its coefficient denominators) * prod L_k^max_exp[k]
+    # each argument as its numerators, then their powers; every term of a
+    # poly goes over the one common denominator
+    # p.den * prod L_k^max_exp[k], with L_k the denominator of argument k
     powers, scales = [], []
     for q, top in zip(args, max_exp):
         pw, lk = [{0: 1}], 1
         if top:
-            packed, lk = _pack(q.terms, shifts)
+            packed, lk = _pack(q.num, shifts), q.den
             pw.append(packed)
             for _ in range(top - 1):
                 pw.append(_convolve(pw[-1], packed))
@@ -449,83 +499,81 @@ def _substitute(polys: Sequence[Poly], args: Sequence[Poly]) -> list:
     scale = prod(sc[0] for sc in scales)
     results = []
     for p in polys:  # a zero p has no prefix and comes out zero
-        lc = lcm(*(c.denominator for c in p.terms.values()))
         # Horner-style in the last variable: per prefix (the other
         # exponents), sum the scaled powers of the last argument, then one
         # product with the prefix's product of powers.
         out: dict = {}
         for prefix, group in groupby(
-            sorted(p.terms.items()), key=lambda kv: kv[0][:last]
+            sorted(p.num.items()), key=lambda kv: kv[0][:last]
         ):
             inner: dict = {}
             get = inner.get
-            for mono, c in group:
-                s = c.numerator * (lc // c.denominator)
+            for mono, s in group:
                 for sc, e in zip(scales, mono):
                     s *= sc[e]
                 for key, v in powers[last][mono[last]].items():
                     inner[key] = get(key, 0) + s * v
             factors = [pw[e] for pw, e in zip(powers, prefix) if e]
             _convolve(reduce(_convolve, factors) if factors else {0: 1}, inner, out)
-        results.append(Poly._raw(m, _unpack(out, lc * scale, shifts)))
+        results.append(_unpack(m, out, p.den * scale, shifts))
     return results
 
 
-def _substitute_monomials(terms: dict, args: Sequence[Poly]) -> dict:
-    """The canonical terms of the substitution of one-term arguments
-    a_k * x^e_k: the term c * x^mono goes to the one term
-    c * prod a_k^mono_k * x^(sum mono_k * e_k).  Terms that land on the
-    same monomial are added, and a sum of zero is dropped."""
-    exps, coeffs = zip(*(next(iter(q.terms.items())) for q in args))
-    nums = [a.numerator for a in coeffs]
-    dens = [a.denominator for a in coeffs]
+def _substitute_monomials(p: Poly, args: Sequence[Poly], m: int) -> Poly:
+    """p substituted with one-term arguments (a_k / d_k) * x^e_k, in
+    dimension m: the term c * x^mono goes to the one term
+    c * prod a_k^mono_k * d_k^(t_k - mono_k) * x^(sum mono_k * e_k), all
+    over p.den * prod d_k^t_k, with t_k the top exponent of x_k in p.
+    Terms that land on the same monomial are added, and a sum of zero is
+    dropped."""
+    exps, nums = zip(*(next(iter(q.num.items())) for q in args))
+    dens = [q.den for q in args]
+    tops = list(map(max, zip(*p.num)))
     cols = list(zip(*exps))  # cols[j][k]: exponent of x_j in argument k
     out = {}
-    for mono, c in terms.items():
+    for mono, c in p.num.items():
         key = tuple([sum(map(mul, mono, col)) for col in cols])
-        c = Fraction(c.numerator * prod(map(pow, nums, mono)),
-                     c.denominator * prod(map(pow, dens, mono)))
+        c *= prod(map(pow, nums, mono)) * prod(map(pow, dens, map(sub, tops, mono)))
         if key in out:
             out[key] += c
         else:
             out[key] = c
-    return {k: v for k, v in out.items() if v}
+    return _normal(m, {k: v for k, v in out.items() if v}, p.den * prod(map(pow, dens, tops)))
 
 
 # ----------------------------------------------------------------------
 # the product kernel: exponent tuples packed into one int, coefficients as
-# integer numerators over one denominator per operand
+# integer numerators over the operands' denominators
 
 def _shifts(n: int, degree_bound: int) -> range:
     """Bit offsets of n exponent fields for products of degree <= degree_bound.
 
     Every exponent of such a product is at most degree_bound, so adding
     packed exponents never carries from one field of
-    bit_length(degree_bound) + 1 bits into the next; the spare top bit
-    also keeps the width positive when everything is constant.
+    bit_length(degree_bound) + 1 bits into the next.  The spare top bit
+    shows a borrow in exact division (_divide_packed), and keeps the width
+    positive when everything is constant.
     """
     width = degree_bound.bit_length() + 1
     return range(0, n * width, width)
 
 
-def _pack(terms: dict, shifts: range, den: int = 0) -> tuple:
-    """({packed exponents: integer numerator}, den), where den defaults to
-    the lcm of the coefficient denominators."""
-    den = den or lcm(*(c.denominator for c in terms.values()))
-    return {
-        sum(map(lshift, m, shifts)): c.numerator * (den // c.denominator)
-        for m, c in terms.items()
-    }, den
+def _pack(num: dict, shifts: range, scale: int = 1) -> dict:
+    """{packed exponents: numerator * scale} for the numerators num of a
+    polynomial: only the keys are rebuilt when scale is 1."""
+    values = num.values() if scale == 1 else [v * scale for v in num.values()]
+    return dict(zip([sum(map(lshift, m, shifts)) for m in num], values))
 
 
-def _unpack(packed: dict, den: int, shifts: range) -> dict:
-    """The canonical {exponent tuple: Fraction} map of packed / den."""
+def _unpack(n: int, packed: dict, den: int, shifts: range) -> Poly:
+    """The Poly packed / den: each key decoded into its exponent tuple, the
+    zeros dropped and one content gcd divided out (_normal)."""
     mask = (1 << shifts.step) - 1
-    return {
-        tuple([(k >> s) & mask for s in shifts]): Fraction(v, den)
+    return _normal(n, {
+        tuple([(k >> s) & mask for s in shifts]): v
         for k, v in packed.items()
         if v
-    }
+    }, den)
 
 
 def _convolve(a: dict, b: dict, out: dict | None = None) -> dict:

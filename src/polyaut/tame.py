@@ -26,10 +26,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import sub
 from typing import Union
 
 from .endo import Endo
-from .poly import InconsistencyError, Poly, Record, _brief, check_dimension, is_int
+from .poly import InconsistencyError, Poly, Record, _brief, _normal, check_dimension, is_int
 from .textio import _read_rational, parse_poly, render_poly
 
 
@@ -65,7 +66,8 @@ class Diagonal(Record):
         if self._scaled is None:
             n = self.n
             object.__setattr__(self, "_scaled", tuple(
-                Poly._raw(n, {_unit_exponent(n, l): v}) for l, v in enumerate(self.c)
+                Poly._raw(n, {_unit_exponent(n, l): v.numerator}, v.denominator)
+                for l, v in enumerate(self.c)
             ))
         return self._scaled
 
@@ -83,7 +85,7 @@ class Elementary(Record):
             raise ValueError(
                 f"index {_brief(self.i)} out of range for dimension {self.g.n}"
             )
-        if any(mono[self.i - 1] != 0 for mono in self.g.terms):
+        if any(mono[self.i - 1] != 0 for mono in self.g.num):
             raise ValueError(f"g may not involve x{self.i}")
 
     @property
@@ -301,7 +303,8 @@ def _unit_exponent(n: int, l: int) -> tuple:
 
 def _transvection(n: int, i: int, l: int, a: Fraction) -> Elementary:
     # the step (i, l, a): X_{i+1} += a * X_{l+1}, or += a if l = n; a != 0
-    return Elementary(i + 1, Poly._raw(n, {(0,) * n if l == n else _unit_exponent(n, l): a}))
+    mono = (0,) * n if l == n else _unit_exponent(n, l)
+    return Elementary(i + 1, Poly._raw(n, {mono: a.numerator}, a.denominator))
 
 
 def affine_to_word(f: Affine) -> TameWord:
@@ -382,14 +385,14 @@ def _affine_matrix(n: int, factors) -> list:
                         for c, col in zip(f.c, cols)]
             continue
         src, ds = cols[f.i - 1]
-        for mono, a in f.g.terms.items():
+        q = f.g.den * ds
+        for mono, a in f.g.num.items():
             if sum(mono) > 1:
                 return None
             l = mono.index(1) if any(mono) else n
             col, d = cols[l]
-            q = a.denominator * ds
             den = lcm(d, q)
-            s, t = den // d, a.numerator * (den // q)
+            s, t = den // d, a * (den // q)
             cols[l] = ([v * s + t * w for v, w in zip(col, src)], den)
     return cols
 
@@ -411,19 +414,20 @@ def _check_block(f: Affine, factors, c: tuple) -> None:
 def _scaled_addend(g: Poly, c: tuple, i: int) -> Poly:
     """g~ = c_i * g(X_1/c_1, ..., X_n/c_n), term by term, in integers.
 
-    With c_l = p_l/q_l in lowest terms, the term a * X^m becomes
-    a * (p_i * prod_l q_l^m_l) / (q_i * prod_l p_l^m_l) * X^m: one
-    Fraction per term, from products of ints.  Every c_l is nonzero, so
-    no coefficient vanishes and the terms stay canonical for Poly._raw.
+    With c_l = p_l/q_l in lowest terms and t_l the largest exponent of X_l
+    in g = num/den, the term v/den * X^m becomes
+    v * p_i * prod_l q_l^m_l * p_l^(t_l - m_l) * X^m over the one
+    denominator den * q_i * prod_l p_l^t_l.  Every c_l is nonzero, so no
+    coefficient vanishes, and one gcd makes the result canonical.
     """
     ps = [v.numerator for v in c]
     qs = [v.denominator for v in c]
+    tops = list(map(max, zip(*g.num)))
     pi, qi = ps[i - 1], qs[i - 1]
-    return Poly._raw(g.n, {
-        mono: Fraction(a.numerator * pi * prod(map(pow, qs, mono)),
-                       a.denominator * qi * prod(map(pow, ps, mono)))
-        for mono, a in g.terms.items()
-    })
+    return _normal(g.n, {
+        mono: v * pi * prod(map(pow, qs, mono)) * prod(map(pow, ps, map(sub, tops, mono)))
+        for mono, v in g.num.items()
+    }, g.den * qi * prod(map(pow, ps, tops)))
 
 
 def push_diagonal(d: Diagonal, e: Elementary) -> tuple:
@@ -431,8 +435,8 @@ def push_diagonal(d: Diagonal, e: Elementary) -> tuple:
 
     g~ = c_i * g(X_1/c_1, ..., X_n/c_n); both sides add to slot i, where
     D contributes the factor c_i and E~'s addend must absorb it after the
-    variables have already been scaled.  g~ is computed term by term, one
-    Fraction per term (_scaled_addend); the composition identity
+    variables have already been scaled.  g~ is computed term by term, in
+    integers (_scaled_addend); the composition identity
     D o E = E~ o D is the contract, checked on every call, and
     InconsistencyError is raised if it fails.  Off slot i both sides are
     c_l * X_l by the shapes of Diagonal and Elementary, so the identity

@@ -20,18 +20,21 @@ list of n exponents: each number, p/q and variable, with its power and
 its unary minus signs, multiplies straight into these two.  Only a
 parenthesized factor is parsed into a Poly, raised with Poly.__pow__, and
 multiplied into its term.  Every term of an expression is added into one
-dict, and zero coefficients are dropped once, when the Poly is made.
+dict, and when the Poly is made the zero coefficients are dropped and the
+rest put over the lcm of their denominators, once.
 
 A map is a comma-separated list of n expressions.  Rendering emits terms in
 descending lexicographic order of exponent vectors, always with x1..xN
 names, so parse(render(p)) == p and equal polynomials render identically.
+It reads a polynomial's integer numerators and its one denominator, and
+brings each coefficient to lowest terms with one gcd.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import add
 
 from .endo import Endo
@@ -100,9 +103,13 @@ class _Parser:
                 sign = -1
             else:
                 break
+        # each value is an int or a Fraction in lowest terms (a zero's
+        # denominator is 1), so over the lcm of their denominators the
+        # numerators have no common factor
+        den = lcm(*(c.denominator for c in acc.values()))
         return Poly._raw(self.n, {
-            m: c if type(c) is Fraction else Fraction(c) for m, c in acc.items() if c
-        })
+            m: c.numerator * (den // c.denominator) for m, c in acc.items() if c
+        }, den)
 
     def term(self, acc: dict, num: int) -> None:
         """Add one term, times num (1 or -1), into acc.  Its numbers and
@@ -152,13 +159,15 @@ class _Parser:
                 )
             if not self.accept("*"):
                 break
-        coeff = num if den == 1 else Fraction(num, den)
         if product is None:
             mono = tuple(exps)
+            coeff = num if den == 1 else Fraction(num, den)
             c = acc.get(mono)
             acc[mono] = coeff if c is None else c + coeff
         else:
-            for m, c in product.terms.items():
+            den *= product.den
+            coeff = num if den == 1 else Fraction(num, den)
+            for m, c in product.num.items():
                 mono = tuple(map(add, m, exps))
                 c *= coeff
                 s = acc.get(mono)
@@ -243,16 +252,22 @@ def render_poly(p: Poly) -> str:
     """Deterministic rendering; terms in descending lex order."""
     if p.is_zero:
         return "0"
-    return _render_terms(p.sorted_terms(), [f"x{i}" for i in range(1, p.n + 1)])
+    names = [f"x{i}" for i in range(1, p.n + 1)]
+    return _render_terms(sorted(p.num.items(), reverse=True), p.den, names)
 
 
-def _render_terms(terms, names) -> str:
-    """The nonzero (exponent tuple, Fraction) terms, in the order given, as
-    a sum: each coefficient's sign joins the terms, a coefficient 1 before
-    a monomial is left out, and names[i] is the variable of exponent i."""
+def _render_terms(terms, common, names) -> str:
+    """The nonzero terms (exponent tuple, integer numerator) over the
+    denominator common, in the order given, as a sum: each coefficient is
+    brought to lowest terms by one gcd, its sign joins the terms, a
+    coefficient 1 before a monomial is left out, and names[i] is the
+    variable of exponent i."""
     pieces = []
-    for mono, coeff in terms:
-        num, den = coeff.numerator, coeff.denominator
+    for mono, num in terms:
+        den = common
+        if den != 1:
+            g = gcd(num, den)
+            num, den = num // g, den // g
         if num < 0:
             pieces.append(" - " if pieces else "-")
             num = -num

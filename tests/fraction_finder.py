@@ -11,8 +11,9 @@ from fractions import Fraction
 class FractionDependenceFinder:
     """Incremental search for a rational linear dependence among vectors.
 
-    Vectors are sparse maps {key: Fraction} over an arbitrary growing key
-    space (keys only need a total order).  Vectors are fed in one at a time;
+    Vectors are sparse maps {key: rational} over an arbitrary growing key
+    space (keys only need a total order), each divided by den, as
+    DependenceFinder.add takes them.  Vectors are fed in one at a time;
     `add` returns None while they stay independent, and the first time the
     new vector is a combination of the earlier ones it returns that
     combination as {vector_index: coefficient} with coefficient 1 on the
@@ -35,8 +36,8 @@ class FractionDependenceFinder:
     def vectors_seen(self) -> int:
         return self._count
 
-    def add(self, vec):
-        work = {k: Fraction(v) for k, v in vec.items() if v}
+    def add(self, vec, den=1):
+        work = {k: Fraction(v) / den for k, v in vec.items() if v}
         combo = {self._count: Fraction(1)}
         self._count += 1
         for pivot, row, rcombo in self._rows:

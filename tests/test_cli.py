@@ -202,17 +202,6 @@ def test_map_file_is_parsed_once(capsys, tmp_path, monkeypatch, fmt):
 # exit 1: verification false
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_inconsistent_minpoly_gives_exit_1(capsys, fmt):
-    # the zero map certifies with mu = T, whose constant term is zero:
-    # honest proof the input is no automorphism
-    code, out, err = run(capsys, "minpoly-invert", "--n", "2", "--map", "0, 0",
-                         "--format", fmt)
-    assert code == 1
-    assert out == ""
-    assert "verification failed" in err
-
-
-@pytest.mark.parametrize("fmt", ["text", "json"])
 def test_failed_witness_gives_exit_1(capsys, monkeypatch, fmt):
     import polyaut.witness
     from polyaut.poly import VerificationError
@@ -286,6 +275,18 @@ def test_budget_flags_respected(capsys):
 
 # ----------------------------------------------------------------------
 # exit 3: unusable input
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_minpoly_without_constant_term_gives_exit_3(capsys, fmt):
+    # the zero map certifies with mu = T, whose constant term is zero: no
+    # inverse can be read off it, which is unusable input, not a failed check
+    for n, text in [("1", "0"), ("2", "0, 0")]:
+        code, out, err = run(capsys, "minpoly-invert", "--n", n, "--map", text,
+                             "--format", fmt)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("polyaut: error:") and "no inverse" in err
+
 
 def test_parse_error_gives_exit_3(capsys):
     code, _, err = run(capsys, "parse-check", "--n", "2", "--map", "x1 + (")

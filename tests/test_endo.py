@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import samplers
@@ -177,7 +177,14 @@ def square_matrices(draw):
     return shape, rows
 
 
+# permuted cases: every pivot needs a row swap, an odd number in all
+_X1, _X2, _X3 = Poly.variables(3)
+_O, _I = Poly.zero(3), Poly.constant(3, 1)
+
+
 @given(square_matrices())
+@example(("zero pivot", [[_O, _X1], [_X2, _I]]))
+@example(("zero pivot", [[_O, _O, _X1], [_O, _X2, _I], [_X3, _I, _O]]))
 @settings(deadline=None, max_examples=60)
 def test_det_matches_laplace_expansion(case):
     shape, rows = case

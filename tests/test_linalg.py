@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import isqrt, prod
+from math import isqrt, lcm, prod
 
 import pytest
 from hypothesis import example, given
@@ -92,6 +92,13 @@ def test_inverse_is_two_sided_when_nonsingular(rows):
 # ----------------------------------------------------------------------
 # the Fraction reference finder: the combination it reports must vanish
 
+def integral(vec):
+    """A vector {key: rational} as DependenceFinder.add takes it: integer
+    numerators over the lcm of the denominators."""
+    den = lcm(*(Q(v).denominator for v in vec.values()))
+    return {k: int(v * den) for k, v in vec.items()}, den
+
+
 def _check_combo(vectors, combo):
     keys = set().union(*(v.keys() for v in vectors if v)) if vectors else set()
     for k in keys:
@@ -110,7 +117,8 @@ def test_finder_reports_first_dependence():
     assert f.vectors_seen == 3
     # the library's GF(p) finder reports the same combination mod p
     g = DependenceFinder(P61)
-    assert [g.add(v) for v in vs] == [None, None, {j: c % P61 for j, c in combo.items()}]
+    assert [g.add(*integral(v)) for v in vs] == [
+        None, None, {j: c % P61 for j, c in combo.items()}]
     assert (g.rank, g.vectors_seen) == (2, 3)
 
 
@@ -118,13 +126,13 @@ def test_zero_vector_depends_on_nothing():
     f = FractionDependenceFinder()
     combo = f.add({})
     assert combo == {0: Q(1)}
-    assert DependenceFinder(P61).add({}) == {0: 1}
+    assert DependenceFinder(P61).add({}, 1) == {0: 1}
 
 
 def test_finder_independent_run():
     for f in (FractionDependenceFinder(), DependenceFinder(P61)):
         for i in range(4):
-            assert f.add({i: Q(1), i + 1: Q(1)}) is None
+            assert f.add(*integral({i: Q(1), i + 1: Q(1)})) is None
         assert f.rank == 4
 
 
@@ -173,7 +181,7 @@ def test_modular_finder_combination_vanishes_mod_p(vectors, p):
         (i for i, vec in enumerate(vectors) if exact.add(vec) is not None), None
     )
     for i, vec in enumerate(vectors):
-        combo = f.add(vec)
+        combo = f.add(*integral(vec))
         if combo is not None:
             assert combo[i] == 1
             assert all(0 <= c < p for c in combo.values())
@@ -243,9 +251,9 @@ def _sub_scaled_mod(target, source, factor, p):
             target.pop(k, None)
 
 
-def _outcome(finder, vec):
+def _outcome(finder, *vec):
     try:
-        return finder.add(vec)
+        return finder.add(*vec)
     except UnluckyPrime:
         return UnluckyPrime
 
@@ -269,7 +277,7 @@ def test_packed_finder_matches_dict_rows(vectors, p):
     # rank agrees throughout, also after a dependence or an unlucky vector
     packed, reference = DependenceFinder(p), _DictRowModularFinder(p)
     for vec in vectors:
-        assert _outcome(packed, vec) == _outcome(reference, vec)
+        assert _outcome(packed, *integral(vec)) == _outcome(reference, vec)
         assert packed.rank == reference.rank
     assert packed.vectors_seen == reference._count
 
@@ -283,11 +291,11 @@ def test_packed_finder_carries_at_full_width():
     ]
     packed, reference = DependenceFinder(p), _DictRowModularFinder(p)
     for vec in vectors:
-        assert packed.add(vec) is None
+        assert packed.add(*integral(vec)) is None
         assert reference.add(vec) is None
     assert packed.rank == dim
     dependent = {(0, (k,)): Q(p - 1) for k in range(dim)}
-    combo = packed.add(dependent)
+    combo = packed.add(*integral(dependent))
     assert combo == reference.add(dependent)
     # the sum of the 64 vectors is 63 times the dependent one
     assert combo == {**{j: pow(-63, -1, p) % p for j in range(dim)}, dim: 1}
@@ -295,9 +303,9 @@ def test_packed_finder_carries_at_full_width():
 
 def test_modular_finder_rejects_denominator_divisible_by_p():
     f = DependenceFinder(3)
-    assert f.add({"a": Q(1, 2)}) is None
+    assert f.add(*integral({"a": Q(1, 2)})) is None
     with pytest.raises(UnluckyPrime):
-        f.add({"a": Q(1), "b": Q(5, 6)})
+        f.add(*integral({"a": Q(1), "b": Q(5, 6)}))
 
 
 @given(

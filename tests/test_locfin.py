@@ -264,9 +264,13 @@ def test_invert_rejects_non_vanishing():
 
 
 def test_invert_flags_zero_constant_term():
-    g = Endo([Poly.zero(1)])
-    with pytest.raises(InconsistencyError):
-        inverse_from_minpoly(g, UniPoly([0, 1]))
+    # a vanishing mu with mu(0) = 0 gives no inverse, and says nothing
+    # about the map unless it is minimal: T^2 - T vanishes on the
+    # identity, an automorphism
+    for g, coeffs in [(Endo([Poly.zero(1)]), [0, 1]), (Endo.identity(2), [0, -1, 1])]:
+        with pytest.raises(ValueError, match="zero constant term") as info:
+            inverse_from_minpoly(g, UniPoly(coeffs))
+        assert not isinstance(info.value, InconsistencyError)
 
 
 @pytest.mark.parametrize(
@@ -275,10 +279,12 @@ def test_invert_flags_zero_constant_term():
         # no inverse can be read off: the vanishing is checked on its own
         (shear(), [3], ValueError, "does not vanish"),
         (shear(), [0, 1], ValueError, "does not vanish"),
-        (Endo([Poly.zero(1)]), [0, 1], InconsistencyError, "zero constant term"),
+        (Endo([Poly.zero(1)]), [0, 1], ValueError, "zero constant term"),
         # mu(0) != 0: the inverse-pair check catches a mu that does not vanish
         (shear(), [-2, 1], InconsistencyError, "inverse read off"),
         (nagata(), [1, -3, 3, 1], InconsistencyError, "inverse read off"),
+        # a vanishing mu(0) = 0 that is not minimal, on an automorphism
+        (Endo.identity(2), [0, -1, 1], ValueError, "zero constant term"),
     ],
 )
 def test_invert_error_contract(g, coeffs, error, message):
@@ -403,7 +409,7 @@ def _exact_reference(g, max_iter=16, max_deg=512):
 def _exact_minimality(g, degree):
     """True iff iterates 0..degree-1 are independent, by Fraction elimination."""
     finder = FractionDependenceFinder()
-    return all(finder.add(locfin._flatten(it)) is None for it in g.orbit(degree - 1))
+    return all(finder.add(*locfin._flatten(it)) is None for it in g.orbit(degree - 1))
 
 
 def _primes_first(mp, first):

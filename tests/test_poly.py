@@ -429,6 +429,19 @@ def test_exponents_on_a_packing_field_boundary(k):
     assert (x**top * z).substitute([x, y, x]).terms == {(top + 1, 0, 0): 1}
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_exact_division_on_a_packing_field_boundary(k):
+    # an exponent 2^k, and a constant, in fields sized for them: the spare
+    # top bit of a field is free for the borrow that exact division reads
+    x, y, z = V(3)
+    top = 2**k
+    assert (x**top * y).divide_exact(x * y) == x ** (top - 1)
+    assert (x**top - z**top).divide_exact(x - z) == sum(
+        (x**i * z ** (top - 1 - i) for i in range(top)), Poly.zero(3))
+    six, three = Poly.constant(3, 6), Poly.constant(3, 3)
+    assert six.divide_exact(three) == 2 and six * three == 18
+
+
 def test_exponents_at_255_survive_squaring():
     x, y = V(2)
     p = x**255 * y**255
