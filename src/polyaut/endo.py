@@ -9,12 +9,11 @@ canonical coordinate polynomials are identical.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from typing import Sequence
 
 from .poly import (
-    NEG_INF, InconsistencyError, Poly, Rational, Record, _convolve, _divide_packed, _normal,
-    _pack, _shifts, _substitute, _unpack, is_int,
+    NEG_INF, InconsistencyError, Poly, Rational, Record, _combine, _det, _substitute, is_int,
 )
 
 
@@ -216,41 +215,8 @@ class SquareMatrixPoly(Record):
         object.__setattr__(self, "rows", rows)
 
     def det(self) -> Poly:
-        """Exact symbolic determinant: one fraction-free (Bareiss)
-        elimination over row-scaled, packed integer entries.
-
-        Each step forms m[k][k]*m[i][j] - m[i][k]*m[k][j] with the product
-        kernel and divides it exactly by the previous pivot; the result is
-        unpacked once over the product of the row scales.
-        """
-        rows = self.rows
-        size = self.size
-        dim = rows[0][0].n
-        # a numerator multiplies two minors: at most twice the rows' degree sum
-        bound = 2 * sum(max(max(map(sum, p.num), default=0) for p in r) for r in rows)
-        shifts = _shifts(dim, bound)
-        scales = [lcm(*(p.den for p in r)) for r in rows]
-        m = [[_pack(p.num, shifts, lr // p.den) for p in r] for r, lr in zip(rows, scales)]
-        scale = prod(scales)
-        for k in range(size - 1):
-            piv = next((r for r in range(k, size) if m[r][k]), None)
-            if piv is None:
-                return Poly.zero(dim)
-            if piv != k:
-                m[piv], m[k] = m[k], m[piv]
-                scale = -scale
-            mk = m[k]
-            for mi in m[k + 1:]:
-                neg = {key: -v for key, v in mi[k].items()}
-                for j in range(k + 1, size):
-                    num = _convolve(neg, mk[j], _convolve(mk[k], mi[j]))
-                    mi[j] = (
-                        _divide_packed(num, prev, shifts, bound)
-                        if k
-                        else {key: v for key, v in num.items() if v}
-                    )
-            prev = mk[k]
-        return _unpack(dim, m[-1][-1], scale, shifts)
+        """Exact symbolic determinant: one Bareiss elimination (poly._det)."""
+        return _det(self.rows)
 
 
 # ----------------------------------------------------------------------
@@ -259,9 +225,8 @@ class SquareMatrixPoly(Record):
 def linear_combination(coeffs: Sequence[Rational], maps: Sequence[Endo]) -> Endo:
     """Coordinatewise rational linear combination sum_k coeffs[k] * maps[k].
 
-    Each coordinate is summed in integers over one common denominator,
-    the lcm of c.denominator * den over the coordinates num / den of the
-    maps with c != 0, and made canonical once (_normal).
+    Each coordinate is one scaled sum (poly._combine): summed in integers
+    over one common denominator, and made canonical once.
     """
     coeffs = [Fraction(c) for c in coeffs]
     maps = list(maps)
@@ -272,19 +237,8 @@ def linear_combination(coeffs: Sequence[Rational], maps: Sequence[Endo]) -> Endo
     n = maps[0].n
     if any(g.n != n for g in maps):
         raise ValueError("maps have mixed dimensions")
-    coords = []
-    for i in range(n):
-        parts = [(c, g.coords[i]) for c, g in zip(coeffs, maps) if c]
-        den = lcm(*(c.denominator * p.den for c, p in parts))
-        acc: dict = {}
-        get = acc.get
-        for c, p in parts:
-            # c * v / p.den over den
-            scale = c.numerator * (den // (c.denominator * p.den))
-            for mono, v in p.num.items():
-                acc[mono] = get(mono, 0) + scale * v
-        coords.append(_normal(n, {m: v for m, v in acc.items() if v}, den))
-    return Endo(coords)
+    return Endo([_combine(n, [(c, g.coords[i]) for c, g in zip(coeffs, maps) if c])
+                 for i in range(n)])
 
 
 def verify_inverse_pair(f: Endo, g: Endo) -> bool:

@@ -27,7 +27,7 @@ latest iterate is kept: a later one replaces it, as every prime before it
 was unlucky, an earlier one is skipped, and one at the same iterate is
 combined with it by the Chinese remainder theorem.  The coefficients are
 lifted to Q by rational reconstruction, and the lift is returned only
-after the exact Fraction check that it vanishes on G: a relation that
+after the exact rational check that it vanishes on G: a relation that
 vanishes at an index no later than the true first dependence is the
 minimal polynomial.  A prime that cannot decide gives way to the next one
 below it.  Primes are made on demand, and a bound on the minors of the
@@ -57,7 +57,7 @@ from typing import Sequence
 
 from .endo import Endo, LeadingOrbit, linear_combination, verify_inverse_pair
 from .linalg import DependenceFinder, UnluckyPrime, rational_reconstruction
-from .poly import NEG_INF, InconsistencyError, Rational, Record, is_int
+from .poly import NEG_INF, InconsistencyError, Rational, Record, _over_lcm, is_int
 
 
 class UniPoly(Record):
@@ -103,10 +103,8 @@ class UniPoly(Record):
     def __str__(self):
         from .textio import _render_terms
 
-        den = lcm(*(c.denominator for c in self.coeffs))
-        terms = [((e,), c.numerator * (den // c.denominator))
-                 for e, c in enumerate(self.coeffs) if c]
-        return _render_terms(reversed(terms), den, ["T"])
+        p = _over_lcm(1, {(e,): c for e, c in enumerate(self.coeffs)})
+        return _render_terms(reversed(p.num.items()), p.den, ["T"])
 
     def to_coeff_strings(self) -> list:
         """Exact coefficients a_0..a_d as strings, constant term first."""

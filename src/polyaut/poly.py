@@ -19,7 +19,9 @@ the {exponent tuple: Fraction} map, is a view, built from num and den the
 first time it is read and kept; the arithmetic never builds it.  Every
 operation is exact and polynomial identity testing is reliable.  Values
 are immutable after construction; all operations build new objects, and
-each result divides out its one content gcd (`_normal`).
+each result divides out its one content gcd (`_normal`).  Every kernel on
+this form lives here: sums and `endo.linear_combination` are one scaled
+sum (`_combine`); the constructor and parser share one lcm step (`_over_lcm`).
 
 Every product goes through one integer kernel, `_convolve`: those of
 `Poly.__mul__`, and the powers and prefix products of `_substitute`, the
@@ -34,8 +36,8 @@ work its operands need.  A substitution whose arguments all have one
 term, such as the scalings c_l * x_l of a diagonal, skips it: each term
 then maps straight to one term.  A square (the same packed dict twice, as
 `Poly.__pow__` and the second power of an argument give it) takes each
-cross product once.  Exact division (in `Poly.divide_exact` and the
-determinant in `endo`) shares the packing: `_divide_packed`.
+cross product once.  Exact division (`_divide_packed`) shares the
+packing, in `Poly.divide_exact` and in `_det`, the Bareiss determinant.
 
 Every other module imports this one, so it also holds what they all
 share.  `Record` is the base of every immutable value class: Poly itself,
@@ -200,12 +202,9 @@ class Poly(Record):
     def __post_init__(self):
         check_dimension(self.n)
         terms = _validated_terms(self.n, self._terms or {})
-        # a prime's power in den is its power in some c.denominator, whose
-        # numerator it does not divide: num / den is canonical already
-        den = lcm(*(c.denominator for c in terms.values()))
-        _setattr(self, "num", {m: c.numerator * (den // c.denominator)
-                               for m, c in terms.items()})
-        _setattr(self, "den", den)
+        canonical = _over_lcm(self.n, terms)
+        _setattr(self, "num", canonical.num)
+        _setattr(self, "den", canonical.den)
         _setattr(self, "_terms", terms)  # the view, built already
 
     @property
@@ -315,23 +314,17 @@ class Poly(Record):
                 f"dimension mismatch: {self.n} vs {other.n}"
             )
 
-    def __add__(self, other) -> "Poly":
+    def _plus(self, a: int, other, b: int) -> "Poly":
+        # a * self + b * other, for other a Poly or a scalar
         if isinstance(other, (int, Fraction)):
             other = Poly.constant(self.n, other)
         elif not isinstance(other, Poly):
             return NotImplemented
         self._check_same_dimension(other)
-        da, db = self.den, other.den
-        den = lcm(da, db)
-        sa, sb = den // da, den // db
-        out = dict(self.num) if sa == 1 else {m: v * sa for m, v in self.num.items()}
-        for mono, v in other.num.items():
-            s = out.get(mono, 0) + v * sb
-            if s:
-                out[mono] = s
-            else:
-                del out[mono]
-        return _normal(self.n, out, den)
+        return _combine(self.n, ((a, self), (b, other)))
+
+    def __add__(self, other) -> "Poly":
+        return self._plus(1, other, 1)
 
     __radd__ = __add__
 
@@ -339,14 +332,10 @@ class Poly(Record):
         return Poly._raw(self.n, {m: -v for m, v in self.num.items()}, self.den)
 
     def __sub__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(self.n, other)
-        elif not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
+        return self._plus(1, other, -1)
 
     def __rsub__(self, other) -> "Poly":
-        return (-self) + other
+        return self._plus(-1, other, 1)
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -449,6 +438,37 @@ def _normal(n: int, num: dict, den: int) -> Poly:
             num = {m: v // g for m, v in num.items()}
             den //= g
     return Poly._raw(n, num, den)
+
+
+def _over_lcm(n: int, values: Mapping) -> Poly:
+    """The Poly with coefficients values, {exponent tuple: int or Fraction
+    in lowest terms}, zeros dropped, over den, the lcm of the denominators.
+    A prime's power in den is its power in some c.denominator, whose
+    numerator it does not divide: so num / den is canonical, with no gcd."""
+    den = lcm(*(c.denominator for c in values.values()))
+    return Poly._raw(n, {m: c.numerator * (den // c.denominator)
+                         for m, c in values.items() if c}, den)
+
+
+def _combine(n: int, pairs: Sequence) -> Poly:
+    """The sum of c * p over the (c, p) pairs, each c a nonzero int or
+    Fraction and each p a Poly of dimension n, summed in ints over one
+    common denominator, the lcm of c.denominator * p.den; a sum of zero is
+    dropped, and one _normal makes the result canonical."""
+    den = 1
+    for c, p in pairs:
+        den = lcm(den, c.denominator * p.den)
+    acc: dict = {}
+    get = acc.get
+    for c, p in pairs:
+        scale = c.numerator * (den // (c.denominator * p.den))
+        for mono, v in p.num.items():
+            s = get(mono, 0) + scale * v
+            if s:
+                acc[mono] = s
+            else:
+                del acc[mono]
+    return _normal(n, acc, den)
 
 
 # ----------------------------------------------------------------------
@@ -641,3 +661,41 @@ def _divide_packed(a: dict, b: dict, shifts: range, degree: int) -> dict:
                     heappush(heap, -t)
                 a[t] = (v or 0) + qc * cb
     return q
+
+
+def _det(rows: tuple) -> Poly:
+    """The determinant of a square grid of Polys of one dimension: one
+    fraction-free (Bareiss) elimination over row-scaled, packed integer
+    entries.
+
+    Each step forms m[k][k]*m[i][j] - m[i][k]*m[k][j] with the product
+    kernel and divides it exactly by the previous pivot; the result is
+    unpacked once over the product of the row scales.
+    """
+    size = len(rows)
+    dim = rows[0][0].n
+    # a numerator multiplies two minors: at most twice the rows' degree sum
+    bound = 2 * sum(max(max(map(sum, p.num), default=0) for p in r) for r in rows)
+    shifts = _shifts(dim, bound)
+    scales = [lcm(*(p.den for p in r)) for r in rows]
+    m = [[_pack(p.num, shifts, lr // p.den) for p in r] for r, lr in zip(rows, scales)]
+    scale = prod(scales)
+    for k in range(size - 1):
+        piv = next((r for r in range(k, size) if m[r][k]), None)
+        if piv is None:
+            return Poly.zero(dim)
+        if piv != k:
+            m[piv], m[k] = m[k], m[piv]
+            scale = -scale
+        mk = m[k]
+        for mi in m[k + 1:]:
+            neg = {key: -v for key, v in mi[k].items()}
+            for j in range(k + 1, size):
+                num = _convolve(neg, mk[j], _convolve(mk[k], mi[j]))
+                mi[j] = (
+                    _divide_packed(num, prev, shifts, bound)
+                    if k
+                    else {key: v for key, v in num.items() if v}
+                )
+        prev = mk[k]
+    return _unpack(dim, m[-1][-1], scale, shifts)

@@ -30,7 +30,9 @@ from operator import sub
 from typing import Union
 
 from .endo import Endo
-from .poly import InconsistencyError, Poly, Record, _brief, _normal, check_dimension, is_int
+from .poly import (
+    InconsistencyError, Poly, Record, _brief, _normal, _over_lcm, check_dimension, is_int,
+)
 from .textio import _read_rational, parse_poly, render_poly
 
 
@@ -231,21 +233,13 @@ def _gen_from_json(doc, n: int) -> Generator:
 
 def gen_to_endo(f: Generator) -> Endo:
     n = f.n
-    xs = Poly.variables(n)
     if isinstance(f, Diagonal):
-        return Endo([c * x for c, x in zip(f.c, xs)])
+        return Endo(f.scaled_variables())
     if isinstance(f, Elementary):
-        coords = list(xs)
-        coords[f.i - 1] = xs[f.i - 1] + f.g
-        return Endo(coords)
-    coords = []
-    for i in range(n):
-        acc = Poly.constant(n, f.b[i])
-        for j in range(n):
-            if f.A[i][j]:
-                acc = acc + f.A[i][j] * xs[j]
-        coords.append(acc)
-    return Endo(coords)
+        return Endo([x + f.g if k == f.i - 1 else x for k, x in enumerate(Poly.variables(n))])
+    units = [_unit_exponent(n, j) for j in range(n)]
+    return Endo([_over_lcm(n, {(0,) * n: b, **dict(zip(units, row))})
+                 for row, b in zip(f.A, f.b)])
 
 
 def word_to_endo(w: TameWord) -> Endo:

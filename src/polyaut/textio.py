@@ -21,7 +21,7 @@ its unary minus signs, multiplies straight into these two.  Only a
 parenthesized factor is parsed into a Poly, raised with Poly.__pow__, and
 multiplied into its term.  Every term of an expression is added into one
 dict, and when the Poly is made the zero coefficients are dropped and the
-rest put over the lcm of their denominators, once.
+rest put over the lcm of their denominators, once (poly._over_lcm).
 
 A map is a comma-separated list of n expressions.  Rendering emits terms in
 descending lexicographic order of exponent vectors, always with x1..xN
@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import add
 
 from .endo import Endo
-from .poly import Poly, Record, _brief, check_dimension
+from .poly import Poly, Record, _brief, _over_lcm, check_dimension
 
 
 class ParseError(ValueError):
@@ -103,13 +103,7 @@ class _Parser:
                 sign = -1
             else:
                 break
-        # each value is an int or a Fraction in lowest terms (a zero's
-        # denominator is 1), so over the lcm of their denominators the
-        # numerators have no common factor
-        den = lcm(*(c.denominator for c in acc.values()))
-        return Poly._raw(self.n, {
-            m: c.numerator * (den // c.denominator) for m, c in acc.items() if c
-        }, den)
+        return _over_lcm(self.n, acc)
 
     def term(self, acc: dict, num: int) -> None:
         """Add one term, times num (1 or -1), into acc.  Its numbers and

@@ -27,7 +27,7 @@ from math import prod
 
 from .endo import Endo, verify_inverse_pair
 from .poly import InconsistencyError, Poly, Rational, Record, VerificationError, is_int
-from .tame import Diagonal, Elementary, gen_to_endo
+from .tame import Diagonal, Elementary, _unit_exponent, gen_to_endo, invert_generator
 from .textio import MapDocument, render_map
 
 KINDS = ("Obs2", "Obs3", "Obs4")
@@ -71,11 +71,11 @@ class Witness(Record):
 def _diagonal_entries(g: Endo):
     """The scaling vector of a diagonal automorphism, or None."""
     entries = []
-    for i, p in enumerate(g.coords):
-        mono = tuple(1 if j == i else 0 for j in range(g.n))
-        if set(p.terms) != {mono}:
+    for l, p in enumerate(g.coords):
+        v = p.num.get(_unit_exponent(g.n, l))
+        if v is None or len(p.num) != 1:
             return None
-        entries.append(p.terms[mono])
+        entries.append(Fraction(v, p.den))
     return tuple(entries)
 
 
@@ -94,7 +94,7 @@ def _first_failure(w) -> str | None:
         return "the diagonal is not a diagonal map"
     if w.kind == "Obs3" and prod(entries) != 1:
         return "an Obs3 diagonal must have determinant 1"
-    d_inv = Endo([x * (1 / c) for c, x in zip(entries, Poly.variables(len(entries)))])
+    d_inv = gen_to_endo(invert_generator(Diagonal(entries)))
     chain = w.conjugator_inverse.compose(w.diagonal).compose(w.conjugator)
     if chain.compose(d_inv) != w.target:
         return "(C^-1 o D o C) o D^-1 does not recompose to the target"
@@ -130,7 +130,7 @@ def witness_obs2(e: Elementary) -> Witness:
         f"(F^-1 o D o F) o D^-1 = {render_map(f)}",
         "target equals F: ok",
     )
-    return Witness("Obs2", f, f, gen_to_endo(Elementary(e.i, -e.g)), d, transcript)
+    return Witness("Obs2", f, f, gen_to_endo(invert_generator(e)), d, transcript)
 
 
 # ----------------------------------------------------------------------
@@ -164,7 +164,8 @@ def witness_obs3(e: Elementary, a: Rational = 2, j: int | None = None) -> Witnes
         mono: c / (a ** (1 + mono[j - 1]) - 1) for mono, c in e.g.terms.items()
     })
     f = gen_to_endo(e)
-    e_endo = gen_to_endo(Elementary(e.i, h))
+    conjugator = Elementary(e.i, h)
+    e_endo = gen_to_endo(conjugator)
     d = gen_to_endo(Diagonal(tuple(
         a if k == e.i - 1 else (1 / a if k == j - 1 else Fraction(1))
         for k in range(n)
@@ -177,7 +178,7 @@ def witness_obs3(e: Elementary, a: Rational = 2, j: int | None = None) -> Witnes
         "all factors have Jacobian determinant 1: ok",
         "(E^-1 o D o E) o D^-1 equals F: ok",
     )
-    return Witness("Obs3", f, e_endo, gen_to_endo(Elementary(e.i, -h)), d, transcript)
+    return Witness("Obs3", f, e_endo, gen_to_endo(invert_generator(conjugator)), d, transcript)
 
 
 # ----------------------------------------------------------------------

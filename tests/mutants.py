@@ -98,7 +98,7 @@ MUTANTS = [
      "g = 1",
      ["tests/test_canonical.py::test_equal_polynomials_hash_equal"]),
     # a row swap of the determinant flips its sign
-    ("endo.py",
+    ("poly.py",
      "scale = -scale",
      "pass",
      ["tests/test_endo.py::test_det_matches_laplace_expansion"]),
@@ -119,6 +119,29 @@ MUTANTS = [
      "return None if any(d != NEG_INF and not v for d, v in tops) else tuple(zip(*tops))",
      "return tuple(zip(*tops))",
      ["tests/test_locfin.py::test_compose_leading_reports_cancelling_tops"]),
+    # the one-sided inverse check must compose
+    ("endo.py",
+     "return outer.compose(inner).is_identity()",
+     "return True",
+     ["tests/test_endo.py::test_verify_inverse_pair"]),
+    # a transvection pushed through a diagonal takes the scalar a * c_i / c_l
+    ("tame.py",
+     "return i, l, Fraction(a.numerator * ci.numerator * cl.denominator,",
+     "return i, l, 2 * Fraction(a.numerator * ci.numerator * cl.denominator,",
+     ["tests/test_tame.py::test_normal_form_swap_then_translate"]),
+    # the push check scales by the entry of the elementary's own slot
+    ("tame.py",
+     "!= e.g * d.c[e.i - 1]:",
+     "!= e.g * d.c[0]:",
+     ["tests/test_tame.py::test_push_diagonal_example"]),
+    # a scaled sum drops the monomials that cancel, so that p - p is zero
+    ("poly.py",
+     "            if s:\n"
+     "                acc[mono] = s\n"
+     "            else:\n"
+     "                del acc[mono]",
+     "            acc[mono] = s",
+     ["tests/test_poly.py::test_mixed_scalar_arithmetic", "tests/test_poly.py::test_ring_laws"]),
 ]
 
 

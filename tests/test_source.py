@@ -28,3 +28,18 @@ def test_only_record_guards_and_rebuilds_values(path):
              if isinstance(node, ast.FunctionDef)
              and node.name in ("__setattr__", "__reduce__")]
     assert found == [], f"{path.name} defines {found}"
+
+
+PACKING = {"_pack", "_unpack", "_shifts", "_convolve", "_divide_packed"}
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "poly.py"],
+                         ids=lambda p: p.name)
+def test_only_poly_uses_the_packing(path):
+    # the packed integer form is poly's own: every kernel that reads it,
+    # the determinant included, lives there
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = sorted(alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   for alias in node.names if alias.name in PACKING)
+    assert found == [], f"{path.name} imports {found}"
