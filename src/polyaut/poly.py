@@ -31,13 +31,11 @@ For the length of one product each operand's numerators are keyed by its
 exponent tuple packed into a single int (after Monagan and Pearce, CASC
 2007), so the inner loop adds ints and multiplies ints, and the result
 lies over the product of the denominators.  It is unpacked once: its keys
-are decoded, and one gcd makes it canonical.  The kernel does only the
-work its operands need.  A substitution whose arguments all have one
-term, such as the scalings c_l * x_l of a diagonal, skips it: each term
-then maps straight to one term.  A square (the same packed dict twice, as
-`Poly.__pow__` and the second power of an argument give it) takes each
-cross product once.  Exact division (`_divide_packed`) shares the
-packing, in `Poly.divide_exact` and in `_det`, the Bareiss determinant.
+are decoded, and one gcd makes it canonical.  A square (the same packed
+dict twice, as `Poly.__pow__` and the second power of an argument give
+it) takes each cross product once.  Exact division (`_divide_packed`)
+shares the packing, in `Poly.divide_exact` and in `_det`, the Bareiss
+determinant.
 
 Every other module imports this one, so it also holds what they all
 share.  `Record` is the base of every immutable value class: Poly itself,
@@ -57,7 +55,7 @@ from functools import reduce
 from itertools import groupby
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
-from operator import lshift, mul, sub
+from operator import lshift, mul
 from typing import Mapping, Sequence, Union
 
 Monomial = tuple  # exponent tuple, one entry per variable
@@ -477,12 +475,11 @@ def _combine(n: int, pairs: Sequence) -> Poly:
 def _substitute(polys: Sequence[Poly], args: Sequence[Poly]) -> list:
     """[p.substitute(args) for p in polys], for polys of one dimension n.
 
-    The arguments are checked first.  When each has exactly one term,
-    every term maps to one term (_substitute_monomials) and nothing is
-    packed.  Otherwise they are packed and raised to their powers once for
-    the whole list, up to the largest exponent over all the polys, in one
-    field width; then each poly takes its own Horner pass, in which a
-    prefix's product of powers starts from its first nonzero power.
+    The arguments are checked first, then packed and raised to their
+    powers once for the whole list, up to the largest exponent over all
+    the polys, in one field width; then each poly takes its own Horner
+    pass, in which a prefix's product of powers starts from its first
+    nonzero power.
     """
     n = polys[0].n
     args = list(args)
@@ -492,8 +489,6 @@ def _substitute(polys: Sequence[Poly], args: Sequence[Poly]) -> list:
     for q in args:
         if q.n != m:
             raise ValueError("substitution arguments have mixed dimensions")
-    if all(len(q.num) == 1 for q in args):
-        return [_substitute_monomials(p, args, m) for p in polys]
     monos = [mono for p in polys for mono in p.num]
     if not monos:
         return [Poly.zero(m) for _ in polys]
@@ -537,28 +532,6 @@ def _substitute(polys: Sequence[Poly], args: Sequence[Poly]) -> list:
             _convolve(reduce(_convolve, factors) if factors else {0: 1}, inner, out)
         results.append(_unpack(m, out, p.den * scale, shifts))
     return results
-
-
-def _substitute_monomials(p: Poly, args: Sequence[Poly], m: int) -> Poly:
-    """p substituted with one-term arguments (a_k / d_k) * x^e_k, in
-    dimension m: the term c * x^mono goes to the one term
-    c * prod a_k^mono_k * d_k^(t_k - mono_k) * x^(sum mono_k * e_k), all
-    over p.den * prod d_k^t_k, with t_k the top exponent of x_k in p.
-    Terms that land on the same monomial are added, and a sum of zero is
-    dropped."""
-    exps, nums = zip(*(next(iter(q.num.items())) for q in args))
-    dens = [q.den for q in args]
-    tops = list(map(max, zip(*p.num)))
-    cols = list(zip(*exps))  # cols[j][k]: exponent of x_j in argument k
-    out = {}
-    for mono, c in p.num.items():
-        key = tuple([sum(map(mul, mono, col)) for col in cols])
-        c *= prod(map(pow, nums, mono)) * prod(map(pow, dens, map(sub, tops, mono)))
-        if key in out:
-            out[key] += c
-        else:
-            out[key] = c
-    return _normal(m, {k: v for k, v in out.items() if v}, p.den * prod(map(pow, dens, tops)))
 
 
 # ----------------------------------------------------------------------

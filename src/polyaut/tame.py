@@ -11,15 +11,19 @@ scan that keeps the product D of the diagonals seen so far.  The scan has
 three cases.  A diagonal is merged into D exactly.  An elementary is pushed
 through D once, using the exact rewriting D o E = E~ o D: E~ adds
 g~ = c_i * g(X_1/c_1, ..., X_n/c_n) to slot i, and the push is checked
-exactly in slot i, the only coordinate where the two sides can differ.  An
+exactly in slot i, the only coordinate where the two sides can differ,
+term by term as an integer identity between numerators.  An
 affine factor is expanded once, when it is made, by Gauss-Jordan
 elimination in integers, which also refuses a singular A; its determinant
 and inverse read that expansion too.  In the scan its matrix steps are
 each pushed through D as one scalar and built into its elementary once,
 and its diagonals are merged; one matrix identity checks the block: it
-must recompose to D o [A | b].  A failed check raises InconsistencyError, so it
-holds under python -O too.  These checks certify the whole normal form,
-and the word is never composed as a map to check it.
+must recompose to D o [A | b], compared in integers too.  So every
+certificate of the normal form is an integer identity, and none
+substitutes or composes polynomials.  A failed check raises
+InconsistencyError, so it holds under python -O too.  These checks
+certify the whole normal form, and the word is never composed as a map
+to check it.
 """
 
 from __future__ import annotations
@@ -46,8 +50,7 @@ class Diagonal(Record):
     """(c_1 X_1, ..., c_n X_n) with every c_i nonzero; c is a tuple of
     Fractions."""
 
-    __slots__ = ("c", "_scaled")
-    _fields = ("c",)
+    __slots__ = ("c",)
 
     def __post_init__(self):
         c = tuple(map(_fraction, self.c))
@@ -56,22 +59,10 @@ class Diagonal(Record):
         if any(v == 0 for v in c):
             raise ValueError("diagonal entries must be nonzero")
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "_scaled", None)  # not a field: copies drop it
 
     @property
     def n(self) -> int:
         return len(self.c)
-
-    def scaled_variables(self) -> tuple:
-        """The map as one-term polynomials c_l * X_l, built on first use
-        and kept on the diagonal, so every push through it shares them."""
-        if self._scaled is None:
-            n = self.n
-            object.__setattr__(self, "_scaled", tuple(
-                Poly._raw(n, {_unit_exponent(n, l): v.numerator}, v.denominator)
-                for l, v in enumerate(self.c)
-            ))
-        return self._scaled
 
 
 class Elementary(Record):
@@ -234,7 +225,8 @@ def _gen_from_json(doc, n: int) -> Generator:
 def gen_to_endo(f: Generator) -> Endo:
     n = f.n
     if isinstance(f, Diagonal):
-        return Endo(f.scaled_variables())
+        return Endo([Poly._raw(n, {_unit_exponent(n, l): v.numerator}, v.denominator)
+                     for l, v in enumerate(f.c)])
     if isinstance(f, Elementary):
         return Endo([x + f.g if k == f.i - 1 else x for k, x in enumerate(Poly.variables(n))])
     units = [_unit_exponent(n, j) for j in range(n)]
@@ -434,14 +426,27 @@ def push_diagonal(d: Diagonal, e: Elementary) -> tuple:
     D o E = E~ o D is the contract, checked on every call, and
     InconsistencyError is raised if it fails.  Off slot i both sides are
     c_l * X_l by the shapes of Diagonal and Elementary, so the identity
-    holds exactly when slot i agrees: g~(c_1 X_1, ..., c_n X_n) == c_i * g,
-    one substitution of monomials.  Its arguments c_l * X_l are built once
-    per diagonal (Diagonal.scaled_variables), not once per push.
+    holds exactly when slot i agrees: g~(c_1 X_1, ..., c_n X_n) == c_i * g.
+    D maps each monomial to a nonzero multiple of itself, so this holds
+    exactly when g~ and g have the same monomials and, for each of them
+    m, with c_l = p_l/q_l, the integer identity
+    g~_m * prod p_l^m_l * q_i * den(g) == g_m * p_i * prod q_l^m_l * den(g~)
+    holds between the numerators.  The check builds no Poly, and its
+    forward powers are not those of _scaled_addend, so it does not rerun
+    the routine it checks.
     """
     if d.n != e.n:
         raise ValueError(f"dimension mismatch: {d.n} vs {e.n}")
-    g_new = _scaled_addend(e.g, d.c, e.i)
-    if g_new.substitute(d.scaled_variables()) != e.g * d.c[e.i - 1]:
+    g = e.g
+    g_new = _scaled_addend(g, d.c, e.i)
+    ps = [v.numerator for v in d.c]
+    qs = [v.denominator for v in d.c]
+    ci = d.c[e.i - 1]
+    left, right = ci.denominator * g.den, ci.numerator * g_new.den
+    if g_new.num.keys() != g.num.keys() or any(
+        v * prod(map(pow, ps, mono)) * left != g.num[mono] * prod(map(pow, qs, mono)) * right
+        for mono, v in g_new.num.items()
+    ):
         raise InconsistencyError("push identity D o E = E~ o D failed")
     return Elementary(e.i, g_new), d
 

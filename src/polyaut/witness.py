@@ -26,7 +26,9 @@ from fractions import Fraction
 from math import prod
 
 from .endo import Endo, verify_inverse_pair
-from .poly import InconsistencyError, Poly, Rational, Record, VerificationError, is_int
+from .poly import (
+    InconsistencyError, Poly, Rational, Record, VerificationError, _over_lcm, is_int,
+)
 from .tame import Diagonal, Elementary, _unit_exponent, gen_to_endo, invert_generator
 from .textio import MapDocument, render_map
 
@@ -160,8 +162,8 @@ def witness_obs3(e: Elementary, a: Rational = 2, j: int | None = None) -> Witnes
 
     # per-term geometric damping: the X_j-degree r term picks up a^{1+r}
     # around the conjugation loop
-    h = Poly(n, {
-        mono: c / (a ** (1 + mono[j - 1]) - 1) for mono, c in e.g.terms.items()
+    h = _over_lcm(n, {
+        mono: v / (e.g.den * (a ** (1 + mono[j - 1]) - 1)) for mono, v in e.g.num.items()
     })
     f = gen_to_endo(e)
     conjugator = Elementary(e.i, h)

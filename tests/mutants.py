@@ -131,9 +131,26 @@ MUTANTS = [
      ["tests/test_tame.py::test_normal_form_swap_then_translate"]),
     # the push check scales by the entry of the elementary's own slot
     ("tame.py",
-     "!= e.g * d.c[e.i - 1]:",
-     "!= e.g * d.c[0]:",
+     "ci = d.c[e.i - 1]",
+     "ci = d.c[0]",
      ["tests/test_tame.py::test_push_diagonal_example"]),
+    # the push check compares the monomials of g~ and g before their
+    # coefficients, so a term that only one side has fails the check
+    ("tame.py",
+     "if g_new.num.keys() != g.num.keys() or any(",
+     "if any(",
+     ["tests/test_tame.py::test_slot_check_matches_full_map_check"]),
+    # the push check cross-multiplies by the denominator of g
+    ("tame.py",
+     "left, right = ci.denominator * g.den, ci.numerator * g_new.den",
+     "left, right = ci.denominator, ci.numerator * g_new.den",
+     ["tests/test_tame.py::test_push_random_composition_identity"]),
+    # the one lcm step, of the constructor and the parser, scales each
+    # numerator up to the common denominator
+    ("poly.py",
+     "return Poly._raw(n, {m: c.numerator * (den // c.denominator)",
+     "return Poly._raw(n, {m: c.numerator",
+     ["tests/test_textio.py::test_parse_basic_three_term"]),
     # a scaled sum drops the monomials that cancel, so that p - p is zero
     ("poly.py",
      "            if s:\n"

@@ -2,10 +2,11 @@
 
 Every result of the arithmetic is canonical (den > 0, no common factor of
 den and the numerators, no zero numerator, exponent tuples of length n),
-and its terms view equals a plain Fraction dict loop.  The certify and
-compose paths never build that view.
+and its terms view equals a plain Fraction dict loop.  The certify,
+compose and tame paths never build that view.
 """
 
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -18,7 +19,9 @@ import samplers
 from polyaut.endo import Endo, linear_combination
 from polyaut.locfin import inverse_from_minpoly, lf_certify
 from polyaut.poly import Poly
-from polyaut.textio import parse_map, render_map, render_poly
+from polyaut.tame import Elementary, TameWord, normal_form
+from polyaut.textio import parse_map, parse_poly, render_map, render_poly
+from polyaut.witness import witness_obs2, witness_obs3, witness_obs4
 
 
 def assert_canonical(p, n):
@@ -91,7 +94,7 @@ def test_arithmetic_results_are_canonical(n, seed, e):
     assert_matches(p * q, n, ref_mul(tp, tq))
     assert_matches(p ** e, n, ref_pow(tp, n, e))
     assert_matches(p.substitute(args), n, ref_substitute(tp, targs, n))
-    # one-term arguments take the monomial substitution
+    # one-term arguments, as a diagonal's scalings c_l * x_l are
     monomials = [Poly(n, dict(list(a.terms.items())[:1])) if a else Poly.constant(n, 3)
                  for a in args]
     assert_matches(p.substitute(monomials), n,
@@ -159,3 +162,20 @@ def test_compose_job_builds_no_terms_view(monkeypatch):
     assert builds == []
     # the counter sees a build where one happens
     assert f.coords[0].terms and builds == [f.coords[0]]
+
+
+def test_tame_job_builds_no_terms_view(monkeypatch):
+    builds = _count_view_builds(monkeypatch)
+    word = TameWord.from_json(json.dumps({"n": 3, "factors": [
+        {"kind": "elementary", "i": 1, "g": "x2^2 - 1/3*x3"},
+        {"kind": "diagonal", "c": ["2", "-1/3", "3/5"]},
+        {"kind": "elementary", "i": 2, "g": "5/2*x1*x3^2 + 1"},
+        {"kind": "affine", "A": [["0", "1/2", "1"], ["2", "0", "-1/3"], ["1", "3", "0"]],
+         "b": ["1/2", "0", "-3/4"]},
+        {"kind": "elementary", "i": 3, "g": "x1*x2 - 2/7"},
+    ]}))
+    normal_form(word).to_word().to_json()
+    e = Elementary(1, parse_poly("2/3*x2^2*x3 - 5*x3^3", 3))
+    for w in (witness_obs2(e), witness_obs3(e, a=Fraction(5, 2)), witness_obs4()):
+        w.to_json()
+    assert builds == []

@@ -11,9 +11,7 @@ import pytest
 from polyaut.endo import Endo
 from polyaut.locfin import LFReport, UniPoly, lf_certify
 from polyaut.poly import NEG_INF, Record
-from polyaut.tame import (
-    Affine, Diagonal, Elementary, NormalForm, TameWord, push_diagonal,
-)
+from polyaut.tame import Affine, Diagonal, Elementary, NormalForm, TameWord
 from polyaut.textio import MapDocument, ParseError, parse_map, parse_poly
 from polyaut.witness import Witness, witness_obs3
 
@@ -108,18 +106,18 @@ def test_records_are_immutable_and_copy():
                      copy.deepcopy(record)):
             assert twin == record
             assert hash(twin) == hash(record)
-    # a diagonal keeps the arguments c_l * x_l of the pushes through it;
-    # its value, and so every copy of it, reads only c
-    pushed, fresh = Diagonal((2, Fraction(-1, 3))), Diagonal((2, Fraction(-1, 3)))
-    push_diagonal(pushed, Elementary(1, parse_poly("x2^2 - 3", 2)))
-    assert pushed._scaled is not None and fresh._scaled is None
-    assert pushed == fresh and hash(pushed) == hash(fresh)
-    assert repr(pushed) == repr(fresh)
-    assert pickle.dumps(pushed) == pickle.dumps(fresh)
-    for twin in (pickle.loads(pickle.dumps(pushed)), copy.copy(pushed),
-                 copy.deepcopy(pushed)):
+    # a map keeps the iterates of its orbit; its value, and so every copy
+    # of it, reads only its coordinates
+    iterated, fresh = parse_map("x1 + x2^2, x2", 2), parse_map("x1 + x2^2, x2", 2)
+    iterated.iterate(3)
+    assert iterated._orbit is not None and fresh._orbit is None
+    assert iterated == fresh and hash(iterated) == hash(fresh)
+    assert repr(iterated) == repr(fresh)
+    assert pickle.dumps(iterated) == pickle.dumps(fresh)
+    for twin in (pickle.loads(pickle.dumps(iterated)), copy.copy(iterated),
+                 copy.deepcopy(iterated)):
         assert twin == fresh and hash(twin) == hash(fresh)
-        assert twin._scaled is None
+        assert twin._orbit is None
 
 
 def test_defaults_and_keywords():

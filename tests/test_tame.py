@@ -436,9 +436,9 @@ def test_push_composes_no_maps(monkeypatch):
 
 
 def test_normal_form_never_reaches_the_product_kernel(monkeypatch):
-    # every elementary push checks its slot with one substitution of the
-    # one-term arguments c_l * x_l, which maps terms to terms without the
-    # kernel, and every affine block is checked as a matrix, with none
+    # every elementary push checks its slot term by term in integers, and
+    # every affine block is checked as a matrix, so neither multiplies
+    # polynomials
     def refuse(*args):
         raise AssertionError("the product kernel was called")
 
@@ -640,28 +640,21 @@ def test_each_elementary_is_built_once(monkeypatch):
         assert len(built) == len(nf.elementaries)
 
 
-def test_arguments_are_built_once_per_merged_diagonal(monkeypatch):
-    # every push substitutes the arguments c_l * x_l of the diagonal it
-    # goes through; the word below has three merged diagonals (the
-    # identity, D1 and D1 o D2) and twelve elementaries
+def test_push_substitutes_nothing(monkeypatch):
+    # the push check compares numerators term by term, so no substitution
+    # runs, through diagonals that are not the identity or after them
     rng = random.Random(43)
-    d1, d2 = random_diagonal(rng, 3), random_diagonal(rng, 3)
+    d1, d2 = Diagonal((Q(2), Q(-1, 3), Q(3, 5))), Diagonal((Q(-1, 2), Q(5), Q(1)))
     pushed = [[random_elementary(rng, 3, 2) for _ in range(4)] for _ in range(3)]
     w = TameWord(tuple(pushed[0] + [d1] + pushed[1] + [d2] + pushed[2]), 3)
-    seen = []
-    substitute = Poly.substitute
 
-    def recorded(self, args):
-        seen.append(args)
-        return substitute(self, args)
+    def refuse(*args):
+        raise AssertionError("the push substituted")
 
-    monkeypatch.setattr(Poly, "substitute", recorded)
-    normal_form(w)
-    assert len(seen) == 12
-    assert len({id(args) for args in seen}) == 3
-    merged = ((1, 1, 1), d1.c, tuple(a * b for a, b in zip(d1.c, d2.c)))
-    for args, c in zip(seen[::4], merged):
-        assert list(args) == [v * x for v, x in zip(c, Poly.variables(3))]
+    with monkeypatch.context() as mp:
+        mp.setattr(poly, "_substitute", refuse)
+        nf = normal_form(w)
+    assert word_to_endo(nf.to_word()) == word_to_endo(w)
 
 
 # ----------------------------------------------------------------------
