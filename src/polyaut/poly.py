@@ -20,8 +20,10 @@ first time it is read and kept; the arithmetic never builds it.  Every
 operation is exact and polynomial identity testing is reliable.  Values
 are immutable after construction; all operations build new objects, and
 each result divides out its one content gcd (`_normal`).  Every kernel on
-this form lives here: sums and `endo.linear_combination` are one scaled
-sum (`_combine`); the constructor and parser share one lcm step (`_over_lcm`).
+this form lives here.  `+`, `-`, `endo.linear_combination` and the parser's
+sum of terms are one scaled sum (`_combine`).  The constructor,
+`UniPoly.__str__`, `tame.gen_to_endo`'s affine rows and `witness_obs3`
+share one lcm step (`_over_lcm`).
 
 Every product goes through one integer kernel, `_convolve`: those of
 `Poly.__mul__`, and the powers and prefix products of `_substitute`, the

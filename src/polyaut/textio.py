@@ -14,14 +14,15 @@ only, as in every number this module reads.  Multiplication is
 always explicit: `2*x1*x2^3`, never `2x1` (which would make `x12` ambiguous).
 `^` binds tightest, then unary minus, then `*`, then binary +/-.
 
-The parser reads each expression in one pass over its tokens.  A term is
-one coefficient, kept as an integer numerator and denominator, and one
-list of n exponents: each number, p/q and variable, with its power and
-its unary minus signs, multiplies straight into these two.  Only a
-parenthesized factor is parsed into a Poly, raised with Poly.__pow__, and
-multiplied into its term.  Every term of an expression is added into one
-dict, and when the Poly is made the zero coefficients are dropped and the
-rest put over the lcm of their denominators, once (poly._over_lcm).
+The parser reads each expression in one pass over its tokens, and its
+polynomial arithmetic is poly's.  A term's numbers, p/q and variables,
+with their powers and unary minus signs, multiply into one integer
+numerator and denominator and one list of n exponents, which make a
+one-term Poly; a parenthesized factor is parsed into a Poly, raised with
+Poly.__pow__ and multiplied into the term with Poly.__mul__, so every
+term takes one path.  An expression, a leading minus sign included as
+its first term's unary minus, is one scaled sum of its signed terms
+(poly._combine).
 
 A map is a comma-separated list of n expressions.  Rendering emits terms in
 descending lexicographic order of exponent vectors, always with x1..xN
@@ -35,10 +36,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd
-from operator import add
 
 from .endo import Endo
-from .poly import Poly, Record, _brief, _over_lcm, check_dimension
+from .poly import Poly, Record, _brief, _combine, _normal, check_dimension
 
 
 class ParseError(ValueError):
@@ -93,27 +93,27 @@ class _Parser:
     # ------------------------------------------------------------------
 
     def expr(self) -> Poly:
-        acc = {}  # every term of the sum, added in place
-        sign = -1 if self.accept("-") else 1
+        pairs = []  # (sign, term), summed once (poly._combine)
+        sign = 1
         while True:
-            self.term(acc, sign)
+            pairs.append((sign, self.term()))
             if self.accept("+"):
                 sign = 1
             elif self.accept("-"):
                 sign = -1
             else:
-                break
-        return _over_lcm(self.n, acc)
+                return _combine(self.n, pairs)
 
-    def term(self, acc: dict, num: int) -> None:
-        """Add one term, times num (1 or -1), into acc.  Its numbers and
-        variables, with their powers and signs, multiply into one
-        coefficient num/den and one exponent list; only a parenthesized
-        factor is a Poly."""
+    def term(self) -> Poly:
+        """One term as a Poly.  Its numbers and variables, with their
+        powers and unary minus signs, multiply into one coefficient
+        num/den and one exponent list, which make a one-term Poly; each
+        parenthesized factor, raised with Poly.__pow__, multiplies into it
+        with Poly.__mul__."""
         tokens = self.tokens
-        den = 1
+        num, den = 1, 1
         exps = [0] * self.n
-        product = None  # of the parenthesized factors
+        factors = []  # the parenthesized ones
         while True:
             if tokens[self.k][0] == "-":
                 num *= self.minus()
@@ -142,9 +142,7 @@ class _Parser:
                 if not self.accept(")"):
                     self.fail("expected ')'")
                 e = self.exponent()
-                if e != 1:
-                    f = f**e
-                product = f if product is None else product * f
+                factors.append(f if e == 1 else f**e)
             else:
                 raise ParseError(
                     "expected a number, variable, or '('" if kind != "end"
@@ -153,19 +151,10 @@ class _Parser:
                 )
             if not self.accept("*"):
                 break
-        if product is None:
-            mono = tuple(exps)
-            coeff = num if den == 1 else Fraction(num, den)
-            c = acc.get(mono)
-            acc[mono] = coeff if c is None else c + coeff
-        else:
-            den *= product.den
-            coeff = num if den == 1 else Fraction(num, den)
-            for m, c in product.num.items():
-                mono = tuple(map(add, m, exps))
-                c *= coeff
-                s = acc.get(mono)
-                acc[mono] = c if s is None else s + c
+        t = _normal(self.n, {tuple(exps): num} if num else {}, den)
+        for f in factors:
+            t = t * f
+        return t
 
     def minus(self) -> int:
         """The sign of a chain of unary minus signs: one call per sign, as

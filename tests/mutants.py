@@ -145,12 +145,27 @@ MUTANTS = [
      "left, right = ci.denominator * g.den, ci.numerator * g_new.den",
      "left, right = ci.denominator, ci.numerator * g_new.den",
      ["tests/test_tame.py::test_push_random_composition_identity"]),
-    # the one lcm step, of the constructor and the parser, scales each
+    # the one lcm step, of the constructor among others, scales each
     # numerator up to the common denominator
     ("poly.py",
      "return Poly._raw(n, {m: c.numerator * (den // c.denominator)",
      "return Poly._raw(n, {m: c.numerator",
+     ["tests/test_canonical.py::test_constructor_puts_mixed_denominators_over_their_lcm"]),
+    # the parser sums its terms with their signs
+    ("textio.py",
+     "pairs.append((sign, self.term()))",
+     "pairs.append((1, self.term()))",
      ["tests/test_textio.py::test_parse_basic_three_term"]),
+    # a pushed addend takes the factor p_i of its own slot's scalar
+    ("tame.py",
+     "mono: v * pi * prod(map(pow, qs, mono))",
+     "mono: v * prod(map(pow, qs, mono))",
+     ["tests/test_tame.py::test_push_constant_g"]),
+    # an addend's coefficient is scaled up to its column's new denominator
+    ("tame.py",
+     "s, t = den // d, a * (den // q)",
+     "s, t = den // d, a",
+     ["tests/test_tame.py::test_affine_check_reads_the_factors"]),
     # a scaled sum drops the monomials that cancel, so that p - p is zero
     ("poly.py",
      "            if s:\n"

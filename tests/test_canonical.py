@@ -124,6 +124,15 @@ def test_equal_polynomials_hash_equal(c):
     assert half + half == x1 and hash(half + half) == hash(x1)
 
 
+def test_constructor_puts_mixed_denominators_over_their_lcm():
+    # 1/4, -5/6 and 2 over lcm(4, 6) = 12, not over the product 24; the
+    # zero coefficient is dropped
+    p = Poly(2, {(1, 0): Fraction(1, 4), (0, 1): Fraction(-5, 6), (0, 0): 2,
+                 (1, 1): Fraction(0, 7)})
+    assert_canonical(p, 2)
+    assert (p.num, p.den) == ({(1, 0): 3, (0, 1): -10, (0, 0): 24}, 12)
+
+
 def _count_view_builds(monkeypatch) -> list:
     """The polynomials whose terms view is built from now on."""
     builds = []

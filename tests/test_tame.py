@@ -811,6 +811,10 @@ def test_affine_check_reads_the_factors():
     assert _columns(n, word + (shear,)) is None
     assert _columns(n, word + (Diagonal((Q(1), Q(2))),)) == [
         [0, 1], [2, 0], [1, 0]]
+    # after diag(1/2, 1), adding 3/5*x1 to slot 2 puts column 1 over
+    # lcm(2, 5) = 10, so the addend's coefficient is scaled by 10 // 5
+    half = (Diagonal((Q(1, 2), Q(1))), E(2, "3/5*x1", n))
+    assert _columns(n, half) == [[Q(1, 2), Q(3, 5)], [0, 1], [0, 0]]
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_parser
+from polyaut import textio
 from polyaut.endo import Endo
 from polyaut.poly import Poly
 from polyaut.textio import (
@@ -133,6 +135,19 @@ def test_parse_map():
         parse_map("x1, x2, x1", 2)
     with pytest.raises(ParseError):
         parse_map("x1", 2)
+
+
+def test_parser_builds_no_fraction(monkeypatch):
+    # every term, with parentheses or without, is built and summed on
+    # poly's integer form, so the parser makes no Fraction of its own
+    text = "1/2*x1 - 2/3*(x2 - 1/4)^2, 5/6*x2 - 7/10*x1*(3/4*x1 + 1/6)"
+    expected = reference_parser.parse_map(text, 2)
+
+    def refuse(*args):
+        raise AssertionError("the parser built a Fraction")
+
+    monkeypatch.setattr(textio, "Fraction", refuse)
+    assert parse_map(text, 2) == expected
 
 
 # ----------------------------------------------------------------------
